@@ -89,8 +89,8 @@ from .workloads import (
 
 #: The supported public surface.  Anything importable but not listed here
 #: is an internal detail that may change without a deprecation cycle;
-#: everything listed is covered by the one-release ``DeprecationWarning``
-#: policy described in ``docs/api.md``.
+#: everything listed is covered by the deprecation policy described in
+#: ``docs/api.md``.
 __all__ = [
     "__version__",
     # substrates

@@ -623,11 +623,6 @@ class CliError(ValueError):
     """
 
 
-#: Historical name (originally raised only for ``--jobs`` tokens);
-#: ``--tracker-expiry``, ``--faults``, and the ``serve`` flags share the
-#: same contract and exception.
-JobTokenError = CliError
-
 
 def cli_error(message: str) -> CliError:
     """The standard input-validation failure: ``file:line: error: message``.

@@ -8,8 +8,11 @@ paper-faithful behaviours:
 
 * **Locality short-circuit**: with ``beta > 0`` a node-local pending map
   always wins the slot (Eq. 7's infinite-eta branch).  With ``beta = 0``
-  locality is ignored, reproducing the energy dip at beta = 0 in
-  Fig. 12(a).
+  only this short-circuit is skipped: the job is then sampled without
+  regard to locality, but ``_take`` still takes that job's map
+  node-local-first (``take_map(prefer_local=True)``).  Locality never
+  fully disappears, so the Fig. 12(a) energy dip at beta = 0 does not
+  reproduce (a known deviation, recorded in EXPERIMENTS.md).
 * **Gated acceptance**: a slot on machine ``m`` is granted to the sampled
   colony only with probability proportional to ``m``'s pheromone relative
   to the colony's best machine, so energy-inefficient machines are left

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .._compat import deprecated_positionals
 from ..core import EAntConfig
 from ..metrics import RunMetrics
 from ..runner import RunRecord, ScenarioSpec, SweepRunner, resolve_specs
@@ -104,7 +103,6 @@ def msd_comparison_specs(
     ]
 
 
-@deprecated_positionals("seed", "n_jobs", "eant_config", "schedulers", "runner")
 def run_msd_comparison(
     *,
     seed: int = 3,
@@ -115,9 +113,7 @@ def run_msd_comparison(
 ) -> ComparisonResult:
     """Replay the MSD workload under each scheduler (Figs. 8 and 9).
 
-    All parameters are keyword-only; positional use of (seed, n_jobs,
-    eant_config, schedulers, runner) is deprecated and warns for one
-    release.
+    All parameters are keyword-only.
     """
     specs = msd_comparison_specs(
         seed=seed, n_jobs=n_jobs, eant_config=eant_config, schedulers=schedulers

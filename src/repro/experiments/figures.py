@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
-from .._compat import deprecated_positionals
 from ..runner import SweepRunner
 from .churn import churn_adaptiveness
 from .convergence_exp import fig11a_machine_homogeneity, fig11b_job_homogeneity
@@ -327,14 +326,12 @@ _BUILDERS: Dict[str, Callable[[Optional[SweepRunner]], FigureResult]] = {
 FIGURE_NAMES: Tuple[str, ...] = tuple(_BUILDERS)
 
 
-@deprecated_positionals("name", "runner", allowed=1)
 def figure_result(name: str, *, runner: Optional[SweepRunner] = None) -> FigureResult:
     """Regenerate ``name``'s data as a :class:`FigureResult`.
 
     ``runner`` parallelizes/caches the scenario-grid figures; the analytic
     ones (fig4, fig6, fig7) run inline regardless.  ``runner`` is
-    keyword-only; passing it positionally is deprecated and warns for one
-    release.
+    keyword-only.
     """
     try:
         builder = _BUILDERS[name]

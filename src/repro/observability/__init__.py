@@ -10,11 +10,12 @@ choosing-your-instrument matrix, and examples):
 * :mod:`.audit` — the scheduler decision audit log: one record per E-Ant
   slot decision decomposing Eqs. 3-8 (pheromone, heuristic, fairness,
   final probability) over the full candidate set.
-* :mod:`.metrics` — a labelled counter/gauge/histogram registry with
-  periodic snapshots on the simulation clock.
-* :mod:`.telemetry` — fleet-scale columnar time-series: per-interval
+* :mod:`.metrics` — a labelled counter/histogram registry, snapshotted
+  into the trace by the telemetry sink.
+* :mod:`.telemetry` — the one periodic fleet sampler: per-interval
   aggregates in NumPy ring buffers with per-machine-class rollups,
-  ``O(classes x samples)`` memory at any fleet size.
+  ``O(classes x samples)`` memory at any fleet size; on a traced run it
+  also emits the ``metrics.snapshot`` events ``repro report`` replays.
 * :mod:`.profiler` — wall-clock phase profiling of the kernel hot
   sections (dispatch, selection, energy integration, fault injection)
   into plain float slots.
@@ -33,7 +34,7 @@ from .exporters import (
     trace_summary,
     write_jsonl,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, SnapshotSampler
+from .metrics import Counter, Histogram, MetricsRegistry
 from .profiler import (
     NULL_PROFILER,
     NullProfiler,
@@ -74,10 +75,8 @@ __all__ = [
     "CandidateRow",
     "DecisionRecord",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SnapshotSampler",
     "PhaseProfiler",
     "NullProfiler",
     "NULL_PROFILER",

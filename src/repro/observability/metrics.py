@@ -1,32 +1,24 @@
-"""A small labelled-metrics registry with sim-clock snapshots.
+"""A small labelled-metrics registry.
 
-:class:`MetricsRegistry` holds counters, gauges, and histograms keyed by
+:class:`MetricsRegistry` holds counters and histograms keyed by
 ``(name, sorted label items)`` — the shape of a Prometheus client, scaled
 down to what an in-process simulation needs.  Instrumented components
 increment metrics inline (assignments by scheduler and machine model,
-heartbeat gaps, tasks completed); :class:`SnapshotSampler` additionally
-samples cluster state (per-machine utilization, power, cumulative energy,
-queue depths) on a fixed simulation-clock period and emits each snapshot
-as a :data:`~repro.observability.tracer.EventType.METRICS_SNAPSHOT` trace
-event, which is what ``repro report`` replays into sparklines.
+heartbeat gaps, tasks completed); on a traced run the
+:class:`~repro.observability.telemetry.TelemetrySink` embeds the registry
+snapshot in every ``metrics.snapshot`` trace event.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Tuple
-
-from .tracer import NULL_TRACER, EventType
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
-    from ..cluster import Cluster
-    from ..hadoop.jobtracker import JobTracker
-    from ..simulation import Simulator
-
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "SnapshotSampler"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry"]
 
 MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
@@ -44,19 +36,6 @@ class Counter:
         if amount < 0:
             raise ValueError("counters only go up")
         self.value += amount
-
-
-@dataclass
-class Gauge:
-    """Last-write-wins instantaneous value."""
-
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
 
 
 class Histogram:
@@ -190,19 +169,15 @@ def _key_str(key: MetricKey) -> str:
 
 
 class MetricsRegistry:
-    """Get-or-create registry of labelled counters/gauges/histograms."""
+    """Get-or-create registry of labelled counters and histograms."""
 
     def __init__(self) -> None:
         self._counters: Dict[MetricKey, Counter] = {}
-        self._gauges: Dict[MetricKey, Gauge] = {}
         self._histograms: Dict[MetricKey, Histogram] = {}
 
     # ------------------------------------------------------------- get/create
     def counter(self, name: str, **labels: Any) -> Counter:
         return self._counters.setdefault(_key(name, labels), Counter())
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._gauges.setdefault(_key(name, labels), Gauge())
 
     def histogram(
         self, name: str, buckets: Optional[Tuple[float, ...]] = None, **labels: Any
@@ -217,7 +192,6 @@ class MetricsRegistry:
         """All metric values as a flat, JSON-serializable mapping."""
         return {
             "counters": {_key_str(k): c.value for k, c in sorted(self._counters.items())},
-            "gauges": {_key_str(k): g.value for k, g in sorted(self._gauges.items())},
             "histograms": {
                 _key_str(k): h.to_data() for k, h in sorted(self._histograms.items())
             },
@@ -234,80 +208,5 @@ class MetricsRegistry:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<MetricsRegistry counters={len(self._counters)} "
-            f"gauges={len(self._gauges)} histograms={len(self._histograms)}>"
+            f"histograms={len(self._histograms)}>"
         )
-
-
-@dataclass
-class SnapshotSampler:
-    """Periodic registry/cluster snapshots on the simulation clock.
-
-    Each tick closes every machine's energy-integration window, refreshes
-    the per-machine and queue-depth gauges, increments the per-interval
-    energy counters, and emits one ``metrics.snapshot`` trace event whose
-    ``machines`` section carries (utilization, power, cumulative joules)
-    samples — the series ``repro report`` reconstructs.
-    """
-
-    registry: MetricsRegistry
-    cluster: "Cluster"
-    jobtracker: Optional["JobTracker"] = None
-    interval: float = 30.0
-    tracer: Any = NULL_TRACER
-    _last_joules: Dict[int, float] = field(default_factory=dict)
-
-    def attach(self, sim: "Simulator") -> None:
-        """Start the sampling process (stops when the JobTracker shuts down)."""
-        if self.interval <= 0:
-            raise ValueError("snapshot interval must be positive")
-        sim.process(self._run(sim), name="metrics-snapshots")
-
-    def _run(self, sim: "Simulator") -> Generator:
-        while self.jobtracker is None or not self.jobtracker.is_shutdown:
-            yield sim.timeout(self.interval)
-            if self.jobtracker is not None and self.jobtracker.is_shutdown:
-                return
-            self.sample(sim.now)
-
-    def sample(self, now: float) -> None:
-        """Take one snapshot at simulation time ``now``."""
-        machines: List[Dict[str, Any]] = []
-        for machine in self.cluster:
-            # Read-only: projected_joules leaves the energy integrator's
-            # float state untouched, so a traced run stays bit-identical
-            # to an untraced one.
-            utilization = machine.utilization
-            power = machine.power_watts()
-            joules = machine.energy.projected_joules(now)
-            model = machine.spec.model
-            self.registry.gauge("machine_utilization", machine=machine.hostname).set(
-                utilization
-            )
-            self.registry.gauge("machine_power_watts", machine=machine.hostname).set(power)
-            delta = joules - self._last_joules.get(machine.machine_id, 0.0)
-            self._last_joules[machine.machine_id] = joules
-            self.registry.counter("energy_joules_total", model=model).inc(max(delta, 0.0))
-            machines.append(
-                {
-                    "id": machine.machine_id,
-                    "host": machine.hostname,
-                    "model": model,
-                    "util": utilization,
-                    "power_w": power,
-                    "joules": joules,
-                }
-            )
-        if self.jobtracker is not None:
-            jt = self.jobtracker
-            pending_maps = sum(j.pending_map_count for j in jt.active_jobs)
-            pending_reduces = sum(j.pending_reduce_count for j in jt.active_jobs)
-            self.registry.gauge("pending_maps").set(pending_maps)
-            self.registry.gauge("pending_reduces").set(pending_reduces)
-            self.registry.gauge("active_jobs").set(len(jt.active_jobs))
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventType.METRICS_SNAPSHOT,
-                now,
-                machines=machines,
-                metrics=self.registry.snapshot(),
-            )

@@ -26,6 +26,11 @@ Per sample the sink records:
   drained from the JobTracker's per-heartbeat buffers via
   :meth:`~repro.observability.metrics.Histogram.observe_many`.
 
+On a traced run the sink is also the source of the trace's
+``metrics.snapshot`` events: given an enabled tracer, each sample emits
+one event carrying per-machine utilization/power/joules, the sample's
+scalar columns, and the metrics-registry snapshot.
+
 Sampling is pure observation: it consumes no RNG and reads energy through
 the non-mutating ``projected_joules`` projection, so a telemetered run is
 bit-identical to a bare one (``tests/differential/test_telemetry_parity``
@@ -59,8 +64,9 @@ from typing import (
 
 import numpy as np
 
-from .metrics import Histogram
+from .metrics import Histogram, MetricsRegistry
 from .profiler import NULL_PROFILER, ProfileRecord
+from .tracer import NULL_TRACER, EventType
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster import Cluster
@@ -348,6 +354,13 @@ class TelemetrySink:
     profiler:
         Where the sink charges its own sampling cost (phase
         ``"telemetry"``), so the overhead it adds is itself visible.
+    tracer:
+        When enabled, every sample also emits a ``metrics.snapshot``
+        trace event (per-machine ``machines`` list, the sample's
+        ``fleet`` columns, and ``registry``'s snapshot under
+        ``metrics``) — the series ``repro report`` replays.
+    registry:
+        The metrics registry snapshotted into those events.
     """
 
     enabled = True
@@ -360,6 +373,8 @@ class TelemetrySink:
         interval: float = 300.0,
         max_samples: int = 8192,
         profiler: Any = NULL_PROFILER,
+        tracer: Any = NULL_TRACER,
+        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if not (interval > 0):
             raise ValueError(f"telemetry interval must be positive, got {interval}")
@@ -368,6 +383,8 @@ class TelemetrySink:
         self.scheduler = scheduler
         self.interval = float(interval)
         self.profiler = profiler
+        self.tracer = tracer
+        self.registry = registry
         self._row = {name: index for index, name in enumerate(COLUMNS)}
         self._store = _ColumnStore(len(COLUMNS), max_samples)
         #: machine model -> row index into the per-class stores
@@ -447,7 +464,7 @@ class TelemetrySink:
 
         Read-only against the simulation: energy is read through the
         non-mutating ``projected_joules`` projection and no RNG stream is
-        touched.
+        touched, so a traced run stays bit-identical to an untraced one.
         """
         profiler = self.profiler
         started = perf_counter() if profiler.enabled else 0.0
@@ -467,12 +484,27 @@ class TelemetrySink:
         total_map = total_reduce = 0
         power_total = 0.0
         joules_total = 0.0
+        tracer = self.tracer
+        machines: Optional[List[Dict[str, Any]]] = [] if tracer.enabled else None
         for machine in self.cluster:
-            model_index = class_index[machine.spec.model]
+            model = machine.spec.model
+            model_index = class_index[model]
             power = machine.power_watts()
             power_total += power
             power_row[model_index] += power
-            joules_total += machine.energy.projected_joules(now)
+            joules = machine.energy.projected_joules(now)
+            joules_total += joules
+            if machines is not None:
+                machines.append(
+                    {
+                        "id": machine.machine_id,
+                        "host": machine.hostname,
+                        "model": model,
+                        "util": machine.utilization,
+                        "power_w": power,
+                        "joules": joules,
+                    }
+                )
             if machine.decommissioned:
                 decommissioned += 1
                 continue
@@ -551,6 +583,15 @@ class TelemetrySink:
         for name, values in zip(CLASS_COLUMNS, scratch):
             store = self._class_stores[name]
             store.column(store.append_slot())[: values.shape[0]] = values
+
+        if machines is not None:
+            tracer.emit(
+                EventType.METRICS_SNAPSHOT,
+                now,
+                machines=machines,
+                fleet=dict(zip(COLUMNS[1:], _floats_to_json(column[1:]))),
+                metrics=self.registry.snapshot() if self.registry is not None else {},
+            )
 
         if profiler.enabled:
             profiler.add("telemetry", perf_counter() - started)

@@ -64,8 +64,8 @@ class EventType(str, enum.Enum):
     #: A crashed TaskTracker re-registered with the JobTracker and
     #: resumed heartbeats.
     TRACKER_RECOVERED = "tracker.recovered"
-    #: Periodic MetricsRegistry snapshot (counters/gauges/histograms +
-    #: per-machine utilization/power samples).
+    #: Periodic TelemetrySink sample: per-machine utilization/power/joules,
+    #: the sample's fleet columns, and the MetricsRegistry snapshot.
     METRICS_SNAPSHOT = "metrics.snapshot"
     #: Sweep-runner progress: one scenario resolved (cache hit, fresh run,
     #: retry, or failure).  Emitted with wall-clock times, not sim time.

@@ -34,7 +34,6 @@ from ..observability import (
     EventType,
     MetricsRegistry,
     PhaseProfiler,
-    SnapshotSampler,
     TelemetryConfig,
     TelemetrySink,
     Tracer,
@@ -136,8 +135,9 @@ def execute_spec(
         A path writes a JSONL trace there on completion; a
         :class:`~repro.observability.Tracer` collects events in memory.
         Either way a :class:`~repro.observability.MetricsRegistry` is
-        attached and periodic ``metrics.snapshot`` events are emitted
-        every ``spec.meter_interval`` simulated seconds.
+        attached and a :class:`~repro.observability.TelemetrySink` emits
+        periodic ``metrics.snapshot`` events every ``spec.meter_interval``
+        simulated seconds.
     telemetry:
         ``None``/``False`` (default) runs without the columnar telemetry
         layer.  ``True`` attaches a
@@ -268,8 +268,8 @@ def execute_spec(
         meter = ClusterMeter(cluster, sample_interval=spec.meter_interval)
         meter.attach(sim, stop_when=lambda: jobtracker.is_shutdown)
 
-    sampler: Optional[SnapshotSampler] = None
-    if tracer is not None and registry is not None:
+    trace_sink: Optional[TelemetrySink] = None
+    if tracer is not None:
         models: Dict[str, int] = {}
         for machine in cluster:
             models[machine.spec.model] = models.get(machine.spec.model, 0) + 1
@@ -285,14 +285,17 @@ def execute_spec(
             control_interval=config.control_interval,
             snapshot_interval=spec.meter_interval,
         )
-        sampler = SnapshotSampler(
-            registry=registry,
-            cluster=cluster,
+        # The trace's snapshot series comes from its own sink at the meter
+        # interval, independent of any telemetry= sink and its interval.
+        trace_sink = TelemetrySink(
+            cluster,
             jobtracker=jobtracker,
+            scheduler=policy,
             interval=spec.meter_interval,
             tracer=tracer,
+            registry=registry,
         )
-        sampler.attach(sim)
+        trace_sink.attach(sim)
 
     def submit_all():
         for index, job_spec in enumerate(ordered):
@@ -352,15 +355,14 @@ def execute_spec(
             )
 
     jobtracker.all_done_event.add_callback(on_all_done)
-    if sampler is not None:
-        # Close the sampled series at the same instant, so the trace ends on
-        # a snapshot of the completed workload (in event order — trailing
-        # heartbeats may still tick afterwards).
-        jobtracker.all_done_event.add_callback(lambda _e: sampler.sample(sim.now))
-    if sink is not None:
-        # Same closing rule for the columnar series: its last sample is the
-        # completed-workload instant, not a later periodic tick.
-        jobtracker.all_done_event.add_callback(lambda _e: sink.sample(sim.now))
+    # Close each sampled series at the same instant, so its last sample is
+    # the completed workload, not a later periodic tick (in event order —
+    # trailing heartbeats may still tick afterwards).
+    for closing in (trace_sink, sink):
+        if closing is not None:
+            jobtracker.all_done_event.add_callback(
+                lambda _e, closing=closing: closing.sample(sim.now)
+            )
 
     sim.run(until=spec.max_sim_time)
     if "makespan" not in snapshot:

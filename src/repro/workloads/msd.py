@@ -29,7 +29,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .._compat import deprecated_positionals
 from .benchmarks import PUMA
 from .profiles import JobSpec, WorkloadProfile
 
@@ -107,7 +106,6 @@ def _class_assignment(config: MSDConfig, rng: np.random.Generator) -> List[str]:
     return classes
 
 
-@deprecated_positionals("config", "streams")
 def generate_msd_workload(
     *,
     config: MSDConfig = MSDConfig(),
@@ -117,10 +115,8 @@ def generate_msd_workload(
 
     Returns jobs sorted by submit time.  With the default config this is
     87 jobs in roughly 50/25/12 small/medium/large proportions across the
-    three PUMA applications, with Poisson arrivals.
-
-    Both parameters are keyword-only; positional use of (config, streams)
-    is deprecated and warns for one release.
+    three PUMA applications, with Poisson arrivals.  Both parameters are
+    keyword-only.
     """
     from ..simulation import RandomStreams
 

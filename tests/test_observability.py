@@ -106,11 +106,9 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("b").inc()
         registry.counter("a", x="1").inc(5)
-        registry.gauge("g").set(2.5)
         registry.histogram("h").observe(0.2)
         snap = registry.snapshot()
         assert snap["counters"] == {"a{x=1}": 5.0, "b": 1.0}
-        assert snap["gauges"] == {"g": 2.5}
         assert snap["histograms"]["h"]["count"] == 1
 
 

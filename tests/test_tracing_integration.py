@@ -6,6 +6,8 @@ identical traces.  The decision audit must reconstruct the Eq. 8 assignment
 distribution of every E-Ant dispatch.
 """
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -13,6 +15,7 @@ from repro.experiments import run_scenario
 from repro.hadoop import HadoopConfig
 from repro.observability import NULL_TRACER, EventType, Tracer, read_jsonl
 from repro.observability.report import machine_series_from_trace, report_from_trace
+from repro.observability.telemetry import COLUMNS
 from repro.workloads import puma_job
 
 
@@ -73,6 +76,21 @@ class TestTraceContents:
         assert len(tracer.of_type(EventType.METRICS_SNAPSHOT)) > 0
         assert len(tracer.of_type(EventType.SIM_START)) == 1
         assert len(tracer.of_type(EventType.SIM_END)) == 1
+
+    def test_snapshot_events_carry_machines_and_fleet_columns(self, traced_result):
+        snapshots = traced_result.tracer.of_type(EventType.METRICS_SNAPSHOT)
+        for event in snapshots:
+            machines = event.data["machines"]
+            assert len(machines) == 16
+            assert set(machines[0]) == {"id", "host", "model", "util", "power_w", "joules"}
+            fleet = event.data["fleet"]
+            assert list(fleet) == list(COLUMNS[1:])
+            assert fleet["power_watts"] == pytest.approx(sum(m["power_w"] for m in machines))
+            assert fleet["energy_joules"] == pytest.approx(sum(m["joules"] for m in machines))
+            assert set(event.data["metrics"]) == {"counters", "histograms"}
+        # The last snapshot is the completed-workload instant.
+        assert snapshots[-1].time == traced_result.metrics.makespan
+        assert snapshots[-1].data["fleet"]["active_jobs"] == 0
 
     def test_events_are_time_ordered_within_the_run(self, traced_result):
         times = [e.time for e in traced_result.tracer.events if e.type != EventType.HEADER]
@@ -135,6 +153,31 @@ class TestTraceReplay:
         report = report_from_trace(events)
         assert "per-machine utilization/power" in report
         assert "cluster" in report
+
+    def test_pre_fleet_snapshot_events_still_render(self, tmp_path, capsys):
+        """Traces written before snapshots carried a ``fleet`` section."""
+        machine = {"id": 0, "host": "atom-00", "model": "Atom"}
+        gauges = {"active_jobs": 1.0, "pending_maps": 3.0, "pending_reduces": 1.0}
+        lines = [
+            {"t": 0.0, "type": "trace.header", "scheduler": "fair", "seed": 1},
+        ] + [
+            {
+                "t": t,
+                "type": "metrics.snapshot",
+                "machines": [dict(machine, util=util, power_w=power, joules=joules)],
+                "metrics": {"counters": {}, "gauges": gauges, "histograms": {}},
+            }
+            for t, util, power, joules in ((30.0, 0.5, 20.0, 540.0), (60.0, 0.0, 18.0, 1080.0))
+        ]
+        path = tmp_path / "old.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        events = read_jsonl(path)
+        series = machine_series_from_trace(events)
+        assert series[0].hostname == "atom-00"
+        assert series[0].power_watts == (20.0, 18.0)
+        assert "per-machine utilization/power" in report_from_trace(events)
+        assert main(["report", str(path)]) == 0
+        assert "atom-00" in capsys.readouterr().out
 
     def test_report_requires_snapshots(self):
         with pytest.raises(ValueError):
