@@ -176,17 +176,20 @@ class ResultCache:
         """The cached record for ``spec``, or ``None`` on a miss.
 
         A corrupt entry (truncated pickle, wrong type) counts as a miss
-        and is evicted so the slot heals on the next store.
+        and is evicted so the slot heals on the next store.  An absent
+        entry — never stored, or unlinked by a concurrent ``gc`` — is a
+        plain miss: the entry is opened directly, with no ``exists()``
+        probe for an eviction to race.
         """
         path = self.path_for(spec)
-        if not path.exists():
-            self.stats.misses += 1
-            return None
         try:
             with open(path, "rb") as handle:
                 record = pickle.load(handle)
             if not isinstance(record, RunRecord):
                 raise TypeError(f"cache entry is {type(record).__name__}, not RunRecord")
+        except FileNotFoundError:
+            self.stats.misses += 1
+            return None
         except Exception:
             self.stats.misses += 1
             self.stats.evictions += 1

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -44,6 +45,23 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def dataclass_field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    """Field names of dataclass type ``cls`` in declaration order, else ``None``.
+
+    One table per type, shared by the spec and record projections, so
+    neither pays ``dataclasses.fields()`` on every node it visits.
+    """
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+#: Leaves returned as themselves, matched by *exact* type: ``IntEnum`` and
+#: ``str`` enums take the ``isinstance`` branch below, as they always did.
+_PLAIN_SCALARS = frozenset((str, int, bool, type(None)))
+
+
 def _digestable(value: Any, precision: Optional[int] = None) -> Any:
     """Project ``value`` onto plain JSON data with *exact* float identity.
 
@@ -62,7 +80,8 @@ def _digestable(value: Any, precision: Optional[int] = None) -> Any:
     operations the 16-node corpus pins down, so scale parity is checked
     at tolerance rather than by bit identity.
     """
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+    cls = type(value)
+    if cls in _PLAIN_SCALARS or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
         if precision is None:
@@ -72,11 +91,9 @@ def _digestable(value: Any, precision: Optional[int] = None) -> Any:
         return f"{value:.{precision}e}"
     if isinstance(value, enum.Enum):
         return _digestable(value.value, precision)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _digestable(getattr(value, f.name), precision)
-            for f in dataclasses.fields(value)
-        }
+    names = dataclass_field_names(cls)
+    if names is not None:
+        return {name: _digestable(getattr(value, name), precision) for name in names}
     if isinstance(value, (tuple, list)):
         return [_digestable(item, precision) for item in value]
     if isinstance(value, dict):

@@ -34,6 +34,7 @@ from ..hadoop import HadoopConfig
 from ..noise import DEFAULT_NOISE, NoiseModel
 from ..workloads import JobSpec, TraceRef, TraceSpec, WorkloadProfile
 from .engine import SCHEDULER_NAMES
+from .record import dataclass_field_names
 
 __all__ = ["ScenarioSpec", "SPEC_VERSION", "canonical_json"]
 
@@ -44,15 +45,25 @@ SPEC_VERSION = 1
 Fleet = Tuple[Tuple[MachineSpec, int], ...]
 
 
+#: Leaf types JSON renders as themselves, matched by *exact* type so that
+#: subclasses (``IntEnum``, ``str`` enums) still take the ``Enum`` branch.
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+#: Instance attribute memoizing :meth:`ScenarioSpec.spec_hash`; never
+#: pickled, so a spec that crosses a process boundary re-derives it.
+_HASH_ATTR = "_spec_hash"
+
+
 def _jsonable(value: Any) -> Any:
     """Recursively convert a spec field into canonical-JSON-ready data."""
+    cls = type(value)
+    if cls in _JSON_SCALARS:
+        return value
     if isinstance(value, enum.Enum):
         return value.value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
+    names = dataclass_field_names(cls)
+    if names is not None:
+        return {name: _jsonable(getattr(value, name)) for name in names}
     if isinstance(value, (tuple, list)):
         return [_jsonable(item) for item in value]
     if isinstance(value, dict):
@@ -228,8 +239,24 @@ class ScenarioSpec:
         return canonical_json(self.to_json_dict())
 
     def spec_hash(self) -> str:
-        """SHA-256 of the canonical JSON — the cache key material."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        """SHA-256 of the canonical JSON — the cache key material.
+
+        Computed on first call and kept on the instance (64 hex chars, not
+        the canonical JSON).  A spec is frozen and every variant is a new
+        instance, so the stored hash cannot go stale; it takes no part in
+        ``==``, ``hash()`` or the pickled state.
+        """
+        digest = self.__dict__.get(_HASH_ATTR)
+        if digest is None:
+            digest = hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+            object.__setattr__(self, _HASH_ATTR, digest)
+        return digest
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle the fields only; the receiver re-derives the hash."""
+        state = dict(self.__dict__)
+        state.pop(_HASH_ATTR, None)
+        return state
 
     @property
     def short_hash(self) -> str:

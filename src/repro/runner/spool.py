@@ -82,8 +82,16 @@ class SpoolLineError(ValueError):
     """One spool line failed validation (the reason is the message)."""
 
 
-def encode_line(spec_hash: str, record: RunRecord) -> str:
-    """Render one record as a self-validating spool line (no newline)."""
+def encode_line(
+    spec_hash: str, record: RunRecord, digest: Optional[str] = None
+) -> str:
+    """Render one record as a self-validating spool line (no newline).
+
+    ``digest`` is the record's :func:`record_digest` when the caller
+    already holds it; ``None`` computes it here.
+    """
+    if digest is None:
+        digest = record_digest(record)
     payload = base64.b64encode(
         pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
     ).decode("ascii")
@@ -91,7 +99,7 @@ def encode_line(spec_hash: str, record: RunRecord) -> str:
         {
             "v": SPOOL_VERSION,
             "spec": spec_hash,
-            "digest": record_digest(record),
+            "digest": digest,
             "sha": hashlib.sha256(payload.encode("ascii")).hexdigest()[:16],
             "payload": payload,
         },
@@ -171,9 +179,14 @@ class ResultSpool:
         )
 
     # --------------------------------------------------------------- writing
-    def append(self, record: RunRecord) -> None:
-        """Write one record and flush it to the OS before returning."""
-        line = encode_line(record.spec_hash, record)
+    def append(self, record: RunRecord) -> str:
+        """Write one record and flush it to the OS before returning.
+
+        Returns the record digest written into the line, so callers fold
+        the record into a :class:`SweepAggregate` without digesting twice.
+        """
+        digest = record_digest(record)
+        line = encode_line(record.spec_hash, record, digest)
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self.path, "a", encoding="utf-8")
@@ -199,6 +212,7 @@ class ResultSpool:
         self._appended += 1
         if self._appended == self._kill_after:  # pragma: no cover - subprocess rig
             os.kill(os.getpid(), signal.SIGKILL)
+        return digest
 
     def close(self) -> None:
         if self._handle is not None:
@@ -287,8 +301,16 @@ class SweepAggregate:
     jobs_completed: int = 0
     total_run_seconds: float = 0.0
 
-    def add(self, record: RunRecord) -> None:
-        self.entries[record.spec_hash] = record_digest(record)
+    def add(self, record: RunRecord, digest: Optional[str] = None) -> None:
+        """Fold one record in.
+
+        ``digest`` is the record's :func:`record_digest` as returned by
+        :meth:`ResultSpool.append` or verified by :meth:`ResultSpool.scan`;
+        ``None`` computes it here.
+        """
+        if digest is None:
+            digest = record_digest(record)
+        self.entries[record.spec_hash] = digest
         self.records += 1
         metrics = record.metrics
         self.total_energy_kj += metrics.total_energy_kj
@@ -350,18 +372,20 @@ def merge_spools(
         out_path.parent.mkdir(parents=True, exist_ok=True)
         with open(out_path, "w", encoding="utf-8") as handle:
             for spec_hash in sorted(chosen):
+                digest, record = chosen[spec_hash]
                 # Normalize the digest-excluded fields (host timing and
                 # observational sections) so the merged bytes are a pure
                 # function of the result *content* — a spool assembled
                 # from a killed-and-resumed run merges byte-identical to
-                # one from an uninterrupted run.
+                # one from an uninterrupted run.  The scanned digest stays
+                # valid: it never covered those fields.
                 record = dataclasses.replace(
-                    chosen[spec_hash][1],
+                    record,
                     wall_seconds=0.0,
                     telemetry=None,
                     profile=None,
                 )
-                handle.write(encode_line(spec_hash, record) + "\n")
+                handle.write(encode_line(spec_hash, record, digest) + "\n")
     return entries
 
 

@@ -427,7 +427,7 @@ class SweepRunner:
 
         # ---------------------------------------- resume reconciliation
         foreign = 0
-        for spec_hash, _digest, record in spool.scan(warn):
+        for spec_hash, digest, record in spool.scan(warn):
             index = hash_to_index.get(spec_hash)
             if index is None:
                 foreign += 1
@@ -437,7 +437,7 @@ class SweepRunner:
                         f"{spec_hash[:12]} is not in this grid; ignored"
                     )
                 continue
-            aggregate.add(record)
+            aggregate.add(record, digest)
             report.resumed += 1
             report.sources[index] = "spool"
             self._emit(started, index, total, specs[index], "spool", 0.0, report)
@@ -468,8 +468,7 @@ class SweepRunner:
             # already durable in the cache for the resumed run.
             if self.cache is not None and source != "cache":
                 self.cache.put(spec, record)
-            spool.append(record)
-            aggregate.add(record)
+            aggregate.add(record, spool.append(record))
             self._emit(started, index, total, spec, source, seconds, report)
 
         try:

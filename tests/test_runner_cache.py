@@ -1,6 +1,8 @@
 """Result-cache behavior: hit/miss, salt invalidation, corruption healing."""
 
 import pickle
+import time
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,21 @@ class TestHitMiss:
         assert cache.get(spec) is None
         assert cache.stats.misses == 1
         assert cache.stats.hits == 0
+        assert cache.stats.evictions == 0
+
+    def test_entry_unlinked_by_gc_is_a_plain_miss(self, tmp_path, spec, record, monkeypatch):
+        """An entry a concurrent ``cache gc`` removed is a miss, not a
+        corrupt-entry eviction — even if an existence probe had seen it."""
+        reader = ResultCache(tmp_path)
+        reader.put(spec, record)
+        report = ResultCache(tmp_path).gc(max_age_seconds=0.0, now=time.time() + 60)
+        assert report.removed == 1
+        # Model the race: the entry "still exists" to any probe made
+        # before the unlink.
+        monkeypatch.setattr(Path, "exists", lambda self: True)
+        assert reader.get(spec) is None
+        assert reader.stats.misses == 1
+        assert reader.stats.evictions == 0
 
     def test_put_then_get_hits(self, tmp_path, spec, record):
         cache = ResultCache(tmp_path)

@@ -1,17 +1,27 @@
 """ScenarioSpec identity: canonical JSON, hashing, round-trips, the shim."""
 
+import dataclasses
+import enum
 import json
+import math
 import pickle
 import subprocess
 import sys
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Optional
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import EAntConfig, ExchangeLevel
 from repro.experiments import run_scenario
 from repro.runner import SPEC_VERSION, ScenarioSpec
+from repro.runner.record import _digestable
+from repro.runner.spec import _jsonable
 from repro.workloads import puma_job
 
 
@@ -123,6 +133,153 @@ class TestRoundTrips:
         assert other.seed == 9
         assert other.jobs == spec.jobs
         assert other.spec_hash() != spec.spec_hash()
+
+
+class TestStoredHash:
+    """``spec_hash()`` is kept on the instance but never leaks out of it."""
+
+    def test_pickle_bytes_unchanged_by_hashing(self):
+        spec = small_spec()
+        before = pickle.dumps(spec)
+        spec.spec_hash()
+        assert pickle.dumps(spec) == before
+
+    def test_unpickled_and_overridden_specs_hash_like_fresh_ones(self):
+        spec = small_spec()
+        spec.spec_hash()
+        assert pickle.loads(pickle.dumps(spec)).spec_hash() == small_spec().spec_hash()
+        assert spec.with_overrides(seed=11).spec_hash() == small_spec(seed=11).spec_hash()
+        assert dataclasses.replace(spec, seed=12).spec_hash() == small_spec(seed=12).spec_hash()
+
+    def test_equality_and_hash_ignore_the_stored_hash(self):
+        hashed, fresh = small_spec(), small_spec()
+        before = hash(hashed)
+        hashed.spec_hash()
+        assert hash(hashed) == before == hash(fresh)
+        assert hashed == fresh
+        assert repr(hashed) == repr(fresh)
+
+
+# ------------------------------------------------ projection equivalence
+# Reference copies of the canonical-JSON and digest projections as they
+# were before the exact-type fast paths and the shared field-name table.
+def reference_jsonable(value: Any) -> Any:
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: reference_jsonable(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, (tuple, list)):
+        return [reference_jsonable(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): reference_jsonable(item) for key, item in value.items()}
+    return value
+
+
+def reference_digestable(value: Any, precision: Optional[int] = None) -> Any:
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, float):
+        if precision is None:
+            return value.hex()
+        return f"{value:.{precision}e}"
+    if isinstance(value, enum.Enum):
+        return reference_digestable(value.value, precision)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: reference_digestable(getattr(value, f.name), precision)
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, (tuple, list)):
+        return [reference_digestable(item, precision) for item in value]
+    if isinstance(value, dict):
+        items = [
+            (repr(reference_digestable(k, precision)), reference_digestable(v, precision))
+            for k, v in value.items()
+        ]
+        return {key: item for key, item in sorted(items, key=lambda kv: kv[0])}
+    if hasattr(value, "item"):
+        return reference_digestable(value.item(), precision)
+    raise TypeError(f"cannot digest {type(value).__name__}: {value!r}")
+
+
+class Color(enum.Enum):
+    RED = 1
+    BLUE = "blue"
+    GREEN = 2.5
+
+
+class Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 7
+
+
+class Mode(str, enum.Enum):
+    FAST = "fast"
+    SLOW = "slow"
+
+
+@dataclass(frozen=True)
+class Pair:
+    left: Any
+    right: Any
+
+
+@dataclass(frozen=True)
+class Nested:
+    pair: Pair
+    items: tuple
+    tag: Any = Level.HIGH
+
+
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(max_size=4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf]),
+    st.sampled_from([*Color, *Level, *Mode]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**62), 2**62).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_keys = st.one_of(
+    st.text(max_size=3), st.integers(), st.tuples(st.integers(), st.text(max_size=2))
+)
+_values = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.builds(Pair, children, children),
+        st.builds(Nested, st.builds(Pair, children, children),
+                  st.lists(children, max_size=3).map(tuple), children),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4),
+        st.dictionaries(_keys, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestProjectionEquivalence:
+    """The fast projections match the reference copies above exactly —
+    ``repr`` equality, so ``IntEnum``/``str``-enum members, numpy scalars,
+    ``-0.0`` and ``nan`` must come back as the same types and values."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_values)
+    def test_jsonable_matches_reference(self, value):
+        assert repr(_jsonable(value)) == repr(reference_jsonable(value))
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_values, precision=st.sampled_from([None, 9]))
+    def test_digestable_matches_reference(self, value, precision):
+        assert repr(_digestable(value, precision)) == repr(
+            reference_digestable(value, precision)
+        )
 
 
 class TestRunEquivalence:

@@ -14,6 +14,8 @@ Kill points are injected with the ``EANT_REPRO_SPOOL_KILL_AFTER`` hook
 a live subprocess mid-flight.
 """
 
+import hashlib
+import json
 import os
 import signal
 import subprocess
@@ -25,12 +27,14 @@ import pytest
 
 from repro.observability import EventType, Tracer
 from repro.runner import (
+    ResultCache,
     ResultSpool,
     ScenarioSpec,
     SweepRunner,
     aggregate_digest,
     digest_listing,
     merge_spools,
+    record_digest,
     shard_specs,
 )
 from repro.workloads import puma_job
@@ -291,3 +295,56 @@ class TestResumeObservability:
         )
         assert aggregate.entries == expected
         assert aggregate.digest() == aggregate_digest(expected)
+
+
+class TestAggregateIntegrity:
+    """The aggregate folds in the digest the spool wrote or verified instead
+    of digesting each record again; it must still hold the true digests."""
+
+    def test_every_pass_aggregates_true_record_digests(self, tmp_path):
+        specs = grid_specs()[:8]
+        cache = ResultCache(tmp_path / "cache")
+        cold = tmp_path / "cold.jsonl"
+        passes = [
+            ("cold", cold, (len(specs), 0, 0)),
+            ("warm", tmp_path / "warm.jsonl", (0, len(specs), 0)),
+            ("resume", cold, (0, 0, len(specs))),
+        ]
+        digests = []
+        for kind, path, expected in passes:
+            runner = SweepRunner(workers=1, cache=cache)
+            aggregate = runner.run_spooled(specs, ResultSpool(path))
+            report = runner.last_report
+            assert (report.executed, report.cache_hits, report.resumed) == expected, kind
+            spooled = [record for _, _, record in ResultSpool(path).scan()]
+            assert len(spooled) == len(specs)
+            for record in spooled:
+                assert aggregate.entries[record.spec_hash] == record_digest(record), kind
+            digests.append(aggregate.digest())
+        assert len(set(digests)) == 1
+
+    def test_forged_digest_field_is_skipped_and_redone(self, tmp_path):
+        """A line whose ``digest`` was altered — ``sha`` recomputed, so the
+        checksum passes — is warned about, skipped and re-executed."""
+        specs = grid_specs()[:8]
+        path = tmp_path / "s.jsonl"
+        baseline = SweepRunner(workers=1).run_spooled(specs, ResultSpool(path))
+
+        lines = path.read_text().splitlines()
+        data = json.loads(lines[2])
+        data["digest"] = "0" * 64
+        data["sha"] = hashlib.sha256(data["payload"].encode("ascii")).hexdigest()[:16]
+        lines[2] = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n")
+
+        warnings: list = []
+        runner = SweepRunner(workers=1, warn=warnings.append)
+        aggregate = runner.run_spooled(specs, ResultSpool(path))
+        assert any(
+            w.startswith(f"{path}:3: warning: record does not reproduce its claimed digest")
+            for w in warnings
+        )
+        assert runner.last_report.resumed == len(specs) - 1
+        assert runner.last_report.executed == 1
+        assert aggregate.entries == baseline.entries
+        assert aggregate.digest() == baseline.digest()
