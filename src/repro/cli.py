@@ -61,10 +61,12 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
 from .cluster import CATALOG, paper_fleet
 from .core import EAntConfig
@@ -109,10 +111,86 @@ from .workloads import (
 
 __all__ = ["main", "build_parser"]
 
+T = TypeVar("T")
+
 #: The historical default job mix for `run`, `sweep`, and `profile`.
 #: `--jobs` defaults to None in argparse so trace-driven invocations can
 #: tell "flag omitted" from "flag given" (they are mutually exclusive).
 DEFAULT_JOB_TOKENS = ["wordcount:4", "grep:4", "terasort:4"]
+
+
+def _jobs_flag() -> argparse.ArgumentParser:
+    """``--jobs`` (run, sweep, profile).
+
+    Every flag group is a fresh parent parser per subcommand:
+    ``set_defaults`` rewrites an action's default in place, so one parent
+    instance shared by two subcommands would leak the defaults of one
+    (``serve --seed 3``, ``profile --jobs``) into the other.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--jobs",
+        nargs="+",
+        default=None,
+        metavar="APP:GB",
+        help="jobs as application:input_gb, submitted a minute apart "
+        f"(default: {' '.join(DEFAULT_JOB_TOKENS)})",
+    )
+    return parent
+
+
+def _workload_flags() -> argparse.ArgumentParser:
+    """``--trace/--horizon/--tracker-expiry/--faults`` (run, sweep)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--trace",
+        metavar="FILE",
+        help="drive the run (every grid point of a sweep) from a workload "
+        "trace file (.csv/.jsonl, see `workload gen`) instead of --jobs; "
+        "the trace digest is folded into each spec hash",
+    )
+    parent.add_argument(
+        "--horizon",
+        type=float,
+        metavar="SECONDS",
+        help="run open-loop: cut each run at this simulated time and print "
+        "backlog/admission accounting (requires --trace)",
+    )
+    parent.add_argument(
+        "--tracker-expiry",
+        type=float,
+        metavar="SECONDS",
+        help="seconds without a heartbeat before the JobTracker declares a "
+        "TaskTracker dead (0 disables expiry; default 30)",
+    )
+    parent.add_argument(
+        "--faults",
+        metavar="PLAN.json",
+        help="inject the fault plan from a JSON file into every run (see "
+        "docs/faults.md)",
+    )
+    return parent
+
+
+def _scheduler_flags() -> argparse.ArgumentParser:
+    """``--scheduler/--seed`` (run, profile, serve)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--scheduler", choices=SCHEDULER_NAMES, default="e-ant")
+    parent.add_argument("--seed", type=int, default=0)
+    return parent
+
+
+def _cache_flag() -> argparse.ArgumentParser:
+    """``--cache-dir`` (figure, sweep, cache gc, cache info)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--cache-dir",
+        metavar="DIR",
+        help=f"result cache location (default: {default_cache_dir()}; "
+        "`figure` uses a cache only when given this or --workers, and "
+        "then implies --workers 1)",
+    )
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,33 +201,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("catalog", help="print the calibrated machine catalog")
+    catalog = sub.add_parser("catalog", help="print the calibrated machine catalog")
+    catalog.set_defaults(handler=_cmd_catalog)
 
-    run = sub.add_parser("run", help="simulate a PUMA job mix or a workload trace")
-    run.add_argument("--scheduler", choices=SCHEDULER_NAMES, default="e-ant")
-    run.add_argument(
-        "--jobs",
-        nargs="+",
-        default=None,
-        metavar="APP:GB",
-        help="jobs as application:input_gb, submitted a minute apart "
-        f"(default: {' '.join(DEFAULT_JOB_TOKENS)})",
+    run = sub.add_parser(
+        "run",
+        parents=[_scheduler_flags(), _jobs_flag(), _workload_flags()],
+        help="simulate a PUMA job mix or a workload trace",
     )
-    run.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="drive the run from a workload trace file (.csv/.jsonl, see "
-        "`workload gen`) instead of --jobs",
-    )
-    run.add_argument(
-        "--horizon",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="run open-loop: cut the run at this simulated time and print "
-        "backlog/admission accounting (requires --trace)",
-    )
-    run.add_argument("--seed", type=int, default=0)
+    run.set_defaults(handler=_cmd_run)
     run.add_argument(
         "--timeline",
         action="store_true",
@@ -160,28 +220,18 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write a JSONL trace of the run (inspect with `trace`/`report`)",
     )
-    run.add_argument(
-        "--tracker-expiry",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="seconds without a heartbeat before the JobTracker declares a "
-        "TaskTracker dead (0 disables expiry; default 30)",
-    )
-    run.add_argument(
-        "--faults",
-        metavar="PLAN.json",
-        help="inject the fault plan from a JSON file (see docs/faults.md)",
-    )
 
     compare = sub.add_parser("compare", help="Fair vs Tarazu vs E-Ant on MSD")
+    compare.set_defaults(handler=_cmd_compare)
     compare.add_argument("--jobs", type=int, default=60, dest="n_jobs")
     compare.add_argument("--seed", type=int, default=3)
 
     trace = sub.add_parser("trace", help="summarize a JSONL trace file")
+    trace.set_defaults(handler=_cmd_trace)
     trace.add_argument("file", help="trace written by `run --trace-out`")
 
     report = sub.add_parser("report", help="replay a trace into sparklines")
+    report.set_defaults(handler=_cmd_report)
     report.add_argument(
         "file",
         help="trace written by `run --trace-out`, or a telemetry export "
@@ -199,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     wsub = workload.add_subparsers(dest="workload_command", required=True)
 
     gen = wsub.add_parser("gen", help="render an arrival process to a trace file")
+    gen.set_defaults(handler=_cmd_workload_gen)
     gen.add_argument(
         "--process",
         choices=sorted(PROCESS_KINDS),
@@ -222,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument(
         "--name",
-        default=None,
         metavar="NAME",
         help="trace name (identity: names the RNG stream and the digest "
         "payload; default: the --out file stem, which is also what "
@@ -232,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--applications",
         nargs="+",
         choices=sorted(PUMA),
-        default=None,
         metavar="APP",
         help="application pool jobs draw from (default: all PUMA)",
     )
@@ -240,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--task-counts",
         nargs="+",
         type=int,
-        default=None,
         metavar="N",
         help="map-task-count pool jobs draw from (default: 4 8 16)",
     )
@@ -264,29 +312,24 @@ def build_parser() -> argparse.ArgumentParser:
     validate = wsub.add_parser(
         "validate", help="check a trace file against the schema"
     )
+    validate.set_defaults(handler=_cmd_workload_validate)
     validate.add_argument("file", help="trace file to validate (.csv/.jsonl)")
 
     describe = wsub.add_parser(
         "describe", help="summarize a trace file (rows, span, digest)"
     )
+    describe.set_defaults(handler=_cmd_workload_describe)
     describe.add_argument("file", help="trace file to describe (.csv/.jsonl)")
 
     profile = sub.add_parser(
-        "profile", help="run with telemetry + kernel phase profiling"
+        "profile",
+        parents=[_scheduler_flags(), _jobs_flag()],
+        help="run with telemetry + kernel phase profiling",
     )
-    profile.add_argument("--scheduler", choices=SCHEDULER_NAMES, default="e-ant")
-    profile.add_argument(
-        "--jobs",
-        nargs="+",
-        default=DEFAULT_JOB_TOKENS,
-        metavar="APP:GB",
-        help="jobs as application:input_gb (submitted a minute apart)",
-    )
-    profile.add_argument("--seed", type=int, default=0)
+    profile.set_defaults(handler=_cmd_profile, jobs=DEFAULT_JOB_TOKENS)
     profile.add_argument(
         "--interval",
         type=float,
-        default=None,
         metavar="SECONDS",
         help="telemetry sampling period in simulated seconds "
         "(default: the Hadoop control interval, 300)",
@@ -298,24 +341,24 @@ def build_parser() -> argparse.ArgumentParser:
         "extension; inspect later with `report`)",
     )
 
-    figure = sub.add_parser("figure", help="regenerate one paper figure's data")
+    figure = sub.add_parser(
+        "figure", parents=[_cache_flag()], help="regenerate one paper figure's data"
+    )
+    figure.set_defaults(handler=_cmd_figure)
     figure.add_argument("name", choices=list(FIGURE_NAMES))
     figure.add_argument(
         "--workers",
         type=int,
-        default=None,
         metavar="N",
         help="resolve the figure's scenario grid on an N-worker pool",
     )
-    figure.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="cache scenario results under DIR (implies --workers 1 if unset)",
-    )
 
     sweep = sub.add_parser(
-        "sweep", help="run a scheduler/seed/beta grid through the sweep runner"
+        "sweep",
+        parents=[_jobs_flag(), _workload_flags(), _cache_flag()],
+        help="run a scheduler/seed/beta grid through the sweep runner",
     )
+    sweep.set_defaults(handler=_cmd_sweep)
     sweep.add_argument(
         "--schedulers",
         nargs="+",
@@ -336,43 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--betas",
         nargs="+",
         type=float,
-        default=None,
         metavar="B",
         help="E-Ant heuristic weights to grid over (expands e-ant runs only)",
     )
     sweep.add_argument(
-        "--jobs",
-        nargs="+",
-        default=None,
-        metavar="APP:GB",
-        help="job mix every grid point simulates, submitted a minute apart "
-        f"(default: {' '.join(DEFAULT_JOB_TOKENS)})",
-    )
-    sweep.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="drive every grid point from a workload trace file instead of "
-        "--jobs (the trace digest is folded into each spec hash)",
-    )
-    sweep.add_argument(
-        "--horizon",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="run every grid point open-loop, cut at this simulated time "
-        "(requires --trace)",
-    )
-    sweep.add_argument(
         "--workers",
         type=int,
-        default=None,
         metavar="N",
         help="pool size (default: all CPUs; 1 = serial in-process)",
-    )
-    sweep.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help=f"result cache location (default: {default_cache_dir()})",
     )
     sweep.add_argument(
         "--no-cache",
@@ -385,21 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the expanded grid (hashes + cache status) and exit",
     )
     sweep.add_argument(
-        "--tracker-expiry",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="tracker expiry override applied to every grid point",
-    )
-    sweep.add_argument(
-        "--faults",
-        metavar="PLAN.json",
-        help="fault plan (JSON file) injected into every grid point",
-    )
-    sweep.add_argument(
         "--shards",
         type=int,
-        default=None,
         metavar="N",
         help="split the grid into N content-addressed shards and run only "
         "--shard-index (shard membership depends on spec hashes alone, "
@@ -408,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--shard-index",
         type=int,
-        default=None,
         metavar="I",
         help="which shard to run, in [0, N) (required with --shards)",
     )
@@ -435,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         "digest are identical whatever order the spools are given in "
         "(see docs/sweeps.md).",
     )
+    merge.set_defaults(handler=_cmd_sweep_merge)
     merge.add_argument("spools", nargs="+", metavar="SPOOL.jsonl")
     merge.add_argument(
         "--out",
@@ -463,23 +464,19 @@ def build_parser() -> argparse.ArgumentParser:
         "(see docs/sweeps.md for the GC policy).",
     )
     csub = cache_cmd.add_subparsers(dest="cache_command", required=True)
-    gc = csub.add_parser("gc", help="age/size-bounded cache compaction")
-    gc.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help=f"cache location (default: {default_cache_dir()})",
+    gc = csub.add_parser(
+        "gc", parents=[_cache_flag()], help="age/size-bounded cache compaction"
     )
+    gc.set_defaults(handler=_cmd_cache_gc)
     gc.add_argument(
         "--max-age-days",
         type=float,
-        default=None,
         metavar="D",
         help="evict entries not stored or hit in the last D days",
     )
     gc.add_argument(
         "--max-size-mb",
         type=float,
-        default=None,
         metavar="M",
         help="evict oldest entries until the cache fits in M megabytes",
     )
@@ -495,15 +492,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report what would be removed without deleting anything",
     )
-    info = csub.add_parser("info", help="inventory entries and bytes")
-    info.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help=f"cache location (default: {default_cache_dir()})",
+    info = csub.add_parser(
+        "info", parents=[_cache_flag()], help="inventory entries and bytes"
     )
+    info.set_defaults(handler=_cmd_cache_info)
 
     serve = sub.add_parser(
         "serve",
+        parents=[_scheduler_flags()],
         help="serve the scheduler core as an NDJSON heartbeat daemon",
         description="Run the SchedulerCore behind an asyncio NDJSON server "
         "(see docs/serving.md).  With --loadgen, additionally drive it "
@@ -511,12 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
         "throughput/latency summary; with --bench, run the daemon in a "
         "subprocess and measure the BENCH_serve.json throughput gate.",
     )
-    serve.add_argument("--scheduler", choices=SCHEDULER_NAMES, default="e-ant")
-    serve.add_argument("--seed", type=int, default=3)
+    serve.set_defaults(handler=_cmd_serve, seed=3)
     serve.add_argument(
         "--nodes",
         type=int,
-        default=None,
         metavar="N",
         help="serve an N-node procedural fleet (default: the 16-node paper fleet)",
     )
@@ -524,19 +518,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port",
         type=int,
-        default=None,
         help="TCP port (default 7077, or an ephemeral port under --loadgen)",
     )
     serve.add_argument(
         "--socket",
         metavar="PATH",
-        default=None,
         help="serve on a UNIX-domain socket instead of TCP",
     )
     serve.add_argument(
         "--time-scale",
         type=float,
-        default=None,
         metavar="X",
         help="simulated seconds per wall second (control intervals fire "
         "every 300/X wall seconds; default 1.0 = real time, or 600 under "
@@ -545,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--loadgen",
         type=float,
-        default=None,
         metavar="RATE",
         help="also run the open-loop load generator at RATE heartbeats/sec "
         "against the daemon, in-process",
@@ -592,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_catalog() -> int:
+def _cmd_catalog(args: argparse.Namespace) -> int:
     print(f"{'model':8s} {'cores':>5s} {'cpu':>5s} {'io':>5s} {'mem':>5s} "
           f"{'idle W':>7s} {'alpha W':>8s} {'slots':>6s}")
     for spec in CATALOG.values():
@@ -623,7 +613,6 @@ class CliError(ValueError):
     """
 
 
-
 def cli_error(message: str) -> CliError:
     """The standard input-validation failure: ``file:line: error: message``.
 
@@ -636,22 +625,43 @@ def cli_error(message: str) -> CliError:
     return CliError(f"{location}:{frame.f_lineno}: error: {message}")
 
 
+def _flag_value(flag: str, build: Callable[[], T]) -> T:
+    """Run ``build()``, a library constructor fed a flag's value; its
+    ``ValueError`` becomes a :class:`CliError` naming ``flag``.
+
+    The value checks live in the types that own the fields
+    (:class:`HadoopConfig`, :class:`JobSpec`, :class:`ScenarioSpec`); the
+    CLI only says which flag carried the value.
+    """
+    try:
+        return build()
+    except ValueError as error:
+        raise cli_error(f"{flag}: {error}") from None
+
+
+def _positive_finite(value: Optional[float], flag: str) -> None:
+    """Reject 0, negatives, nan and inf for a flag no library type owns
+    (``None``, an omitted optional flag, passes)."""
+    if value is not None and not (0 < value < math.inf):
+        raise cli_error(f"{flag} must be a positive finite number (got {value!r})")
+
+
+def _non_negative_finite(value: Optional[float], flag: str) -> None:
+    """:func:`_positive_finite`, but 0 is allowed."""
+    if value is not None and not (0 <= value < math.inf):
+        raise cli_error(f"{flag} must be a non-negative finite number (got {value!r})")
+
+
 def parse_tracker_expiry(value: Optional[float]) -> Optional[HadoopConfig]:
     """Validate ``--tracker-expiry`` into a :class:`HadoopConfig` override.
 
-    ``None`` (flag absent) keeps the default config.  Like the job tokens,
-    bad values raise :class:`CliError` so the CLI exits 2 with a
-    one-line message instead of a traceback — ``float`` accepts ``"nan"``
-    and ``"inf"``, which must not reach the simulator.
+    ``None`` (flag absent) keeps the default config.  ``float`` accepts
+    ``"nan"`` and ``"inf"``; :class:`HadoopConfig` rejects them, and the
+    CLI exits 2 with a one-line message instead of a traceback.
     """
     if value is None:
         return None
-    if not (value >= 0) or value == float("inf"):  # also rejects NaN
-        raise cli_error(
-            f"--tracker-expiry must be a non-negative finite number of "
-            f"seconds (got {value!r})"
-        )
-    return HadoopConfig(tracker_expiry=value)
+    return _flag_value("--tracker-expiry", lambda: HadoopConfig(tracker_expiry=value))
 
 
 def load_fault_plan(path: Optional[str]) -> Optional[FaultPlan]:
@@ -670,8 +680,7 @@ def parse_job_tokens(tokens: List[str]) -> List[JobSpec]:
 
     Raises :class:`CliError` on an unknown application or a gigabyte
     field that is not a positive finite number — ``float`` accepts
-    ``"nan"``, ``"inf"`` and negatives, which used to slip through here
-    and explode later inside :class:`~repro.workloads.JobSpec` validation.
+    ``"nan"``, ``"inf"`` and negatives, which :class:`JobSpec` rejects.
     """
     jobs: List[JobSpec] = []
     for index, token in enumerate(tokens):
@@ -680,38 +689,68 @@ def parse_job_tokens(tokens: List[str]) -> List[JobSpec]:
             raise cli_error(
                 f"unknown application {app!r}; known: {sorted(PUMA)}"
             )
-        try:
-            size = float(gb) if gb else 4.0
-        except ValueError:
-            raise cli_error(f"{token}: expected form app:gb") from None
-        if not (size > 0) or size == float("inf"):  # also rejects NaN
-            raise cli_error(f"{token}: expected form app:gb")
-        jobs.append(puma_job(app, input_gb=size, submit_time=index * 60.0))
+        jobs.append(
+            _flag_value(
+                f"{token}: expected form app:gb",
+                lambda: puma_job(
+                    app, input_gb=float(gb) if gb else 4.0, submit_time=index * 60.0
+                ),
+            )
+        )
     return jobs
 
 
-def load_workload_trace(path: str) -> TraceSpec:
-    """Load ``--trace FILE``, passing the loader's ``file:line: error:``
-    diagnostics through verbatim (they already carry the location of the
-    offending row, which is more useful than this call site's)."""
-    try:
-        return load_trace(path)
-    except TraceError as error:
-        raise CliError(str(error)) from None
+#: What ``run`` and ``sweep`` simulate: a loaded ``--trace`` or the
+#: ``--jobs`` mix.
+Workload = Union[TraceSpec, Tuple[JobSpec, ...]]
 
 
-def _check_open_loop_flags(args: argparse.Namespace) -> None:
-    """Shared ``run``/``sweep`` validation of --trace/--horizon/--jobs."""
+def load_scenario_flags(args: argparse.Namespace) -> Tuple[Workload, Dict[str, Any]]:
+    """Validate the shared ``run``/``sweep`` flags, reading each file once.
+
+    Returns the workload and the :class:`ScenarioSpec` fields every
+    scenario of the invocation shares, for :func:`make_spec`.  Resolves
+    an omitted ``--jobs`` to :data:`DEFAULT_JOB_TOKENS` in ``args`` so the
+    config echo shows the mix that ran.
+    """
     if args.trace is not None and args.jobs is not None:
         raise cli_error("--trace and --jobs are mutually exclusive")
-    if args.horizon is not None:
-        if args.trace is None:
-            raise cli_error("--horizon requires --trace (open-loop runs are trace-driven)")
-        if not (args.horizon > 0) or args.horizon == float("inf"):
-            raise cli_error(
-                f"--horizon must be a positive finite number of simulated "
-                f"seconds (got {args.horizon!r})"
-            )
+    if args.horizon is not None and args.trace is None:
+        raise cli_error("--horizon requires --trace (open-loop runs are trace-driven)")
+    shared = {
+        "hadoop": parse_tracker_expiry(args.tracker_expiry),
+        "faults": load_fault_plan(args.faults),
+        "open_loop": args.horizon is not None,
+        "horizon": args.horizon,
+    }
+    if args.trace is not None:
+        return load_trace(args.trace), shared
+    if args.jobs is None:
+        args.jobs = DEFAULT_JOB_TOKENS
+    return tuple(parse_job_tokens(args.jobs)), shared
+
+
+def make_spec(
+    workload: Workload,
+    shared: Dict[str, Any],
+    scheduler: str,
+    seed: int,
+    label: Optional[str] = None,
+    **extra: Any,
+) -> ScenarioSpec:
+    """One scenario from :func:`load_scenario_flags`: the single ``run``,
+    or one ``sweep`` grid point (``label``/``extra`` vary per point).
+
+    Trace-driven specs label grid points ``TRACE/LABEL``.  A bad
+    ``--horizon`` (nan, inf, <= 0) is rejected by :class:`ScenarioSpec`.
+    """
+    fields = dict(shared, scheduler=scheduler, seed=seed, **extra)
+    if isinstance(workload, TraceSpec):
+        label = f"{workload.name}/{label}" if label is not None else None
+        return _flag_value(
+            "--horizon", lambda: trace_driven_spec(workload, label=label, **fields)
+        )
+    return ScenarioSpec(jobs=workload, label=label, **fields)
 
 
 def _print_backlog(backlog) -> None:
@@ -738,57 +777,27 @@ def _print_backlog(backlog) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _check_open_loop_flags(args)
-    hadoop = parse_tracker_expiry(args.tracker_expiry)
-    faults = load_fault_plan(args.faults)
-    trace_spec = load_workload_trace(args.trace) if args.trace else None
-    if trace_spec is not None:
-        jobs = None
-        _print_run_config(
-            scheduler=args.scheduler,
-            seed=args.seed,
-            trace=f"{args.trace}#{trace_spec.ref().short_digest}",
-            horizon=args.horizon,
-            trace_out=args.trace_out,
-            tracker_expiry=args.tracker_expiry,
-            faults=args.faults,
-        )
-    else:
-        tokens = args.jobs if args.jobs is not None else DEFAULT_JOB_TOKENS
-        jobs = parse_job_tokens(tokens)
-        _print_run_config(
-            scheduler=args.scheduler,
-            seed=args.seed,
-            jobs=",".join(tokens),
-            trace_out=args.trace_out,
-            tracker_expiry=args.tracker_expiry,
-            faults=args.faults,
-        )
+    workload, shared = load_scenario_flags(args)
+    spec = make_spec(
+        workload,
+        shared,
+        args.scheduler,
+        args.seed,
+        with_meter=args.timeline,
+        meter_interval=10.0,
+    )
+    _print_run_config(
+        scheduler=args.scheduler,
+        seed=args.seed,
+        jobs=None if spec.trace else ",".join(args.jobs),
+        trace=f"{args.trace}#{spec.trace.short_digest}" if spec.trace else None,
+        horizon=args.horizon,
+        trace_out=args.trace_out,
+        tracker_expiry=args.tracker_expiry,
+        faults=args.faults,
+    )
     try:
-        if trace_spec is not None:
-            spec = trace_driven_spec(
-                trace_spec,
-                scheduler=args.scheduler,
-                seed=args.seed,
-                open_loop=args.horizon is not None,
-                horizon=args.horizon,
-                with_meter=args.timeline,
-                meter_interval=10.0,
-                hadoop=hadoop,
-                faults=faults,
-            )
-            result = execute_spec(spec, trace=args.trace_out)
-        else:
-            result = run_scenario(
-                jobs,
-                scheduler=args.scheduler,
-                seed=args.seed,
-                with_meter=args.timeline,
-                meter_interval=10.0,
-                trace=args.trace_out,
-                hadoop=hadoop,
-                faults=faults,
-            )
+        result = execute_spec(spec, trace=args.trace_out)
     except OSError as error:
         raise cli_error(f"cannot write trace {args.trace_out!r}: {error}") from None
     if result.metrics.job_results:
@@ -847,58 +856,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_runner(
-    workers: Optional[int], cache_dir: Optional[str], use_cache: bool = True
-) -> Optional[SweepRunner]:
-    """A :class:`SweepRunner` for the CLI flags, or ``None`` for the
-    historical serial-uncached path when no flag asks for more."""
-    if workers is None and cache_dir is None:
-        return None
-    cache = None
-    if use_cache:
-        cache = ResultCache(Path(cache_dir) if cache_dir else None)
-    return SweepRunner(workers=workers or 1, cache=cache)
-
-
 def _cmd_figure(args: argparse.Namespace) -> int:
-    runner = _build_runner(args.workers, args.cache_dir)
+    # The historical serial-uncached path unless a flag asks for more.
+    runner = None
+    if args.workers is not None or args.cache_dir is not None:
+        runner = SweepRunner(workers=args.workers or 1, cache=ResultCache(args.cache_dir))
     print(figure_result(args.name, runner=runner).render())
     return 0
 
 
 def _sweep_grid(args: argparse.Namespace) -> List[ScenarioSpec]:
     """Expand the sweep flags into the full spec grid, seed-major."""
-    _check_open_loop_flags(args)
-    hadoop = parse_tracker_expiry(args.tracker_expiry)
-    faults = load_fault_plan(args.faults)
-    trace_spec = load_workload_trace(args.trace) if args.trace else None
-    if trace_spec is None:
-        tokens = args.jobs if args.jobs is not None else DEFAULT_JOB_TOKENS
-        jobs = tuple(parse_job_tokens(tokens))
-
-    def make_spec(scheduler: str, seed: int, label: str, **extra) -> ScenarioSpec:
-        if trace_spec is not None:
-            return trace_driven_spec(
-                trace_spec,
-                scheduler=scheduler,
-                seed=seed,
-                open_loop=args.horizon is not None,
-                horizon=args.horizon,
-                hadoop=hadoop,
-                faults=faults,
-                label=f"{trace_spec.name}/{label}",
-                **extra,
-            )
-        return ScenarioSpec(
-            jobs=jobs,
-            scheduler=scheduler,
-            hadoop=hadoop,
-            seed=seed,
-            faults=faults,
-            label=label,
-            **extra,
-        )
-
+    workload, shared = load_scenario_flags(args)
     specs: List[ScenarioSpec] = []
     for seed in args.seeds:
         for scheduler in args.schedulers:
@@ -906,6 +875,8 @@ def _sweep_grid(args: argparse.Namespace) -> List[ScenarioSpec]:
                 for beta in args.betas:
                     specs.append(
                         make_spec(
+                            workload,
+                            shared,
                             scheduler,
                             seed,
                             f"e-ant@seed{seed}/beta={beta:g}",
@@ -913,7 +884,9 @@ def _sweep_grid(args: argparse.Namespace) -> List[ScenarioSpec]:
                         )
                     )
             else:
-                specs.append(make_spec(scheduler, seed, f"{scheduler}@seed{seed}"))
+                specs.append(
+                    make_spec(workload, shared, scheduler, seed, f"{scheduler}@seed{seed}")
+                )
     return specs
 
 
@@ -954,9 +927,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 ) from None
             print(f"# manifest written to {args.manifest_out}")
 
-    cache: Optional[ResultCache] = None
-    if not args.no_cache:
-        cache = ResultCache(Path(args.cache_dir) if args.cache_dir else None)
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
 
     if args.dry_run:
         print(f"# {len(specs)} specs; cache "
@@ -973,9 +944,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         schedulers=",".join(args.schedulers),
         seeds=",".join(str(s) for s in args.seeds),
         betas=",".join(f"{b:g}" for b in args.betas) if args.betas else None,
-        jobs=",".join(args.jobs) if args.jobs is not None else (
-            None if args.trace else ",".join(DEFAULT_JOB_TOKENS)
-        ),
+        jobs=",".join(args.jobs) if args.jobs is not None else None,
         trace=args.trace,
         horizon=args.horizon,
         workers=args.workers if args.workers is not None else os.cpu_count(),
@@ -986,24 +955,33 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers, cache=cache, progress=print, warn=_stderr_warn
     )
 
-    if args.spool is not None:
-        spool = ResultSpool(args.spool)
-        try:
-            aggregate = runner.run_spooled(specs, spool, manifest=manifest)
-        except SweepError as error:
-            print(error, file=sys.stderr)
-            return 1
-        except KeyboardInterrupt:
-            report = runner.last_report
-            resolved = len(report.sources) if report is not None else 0
-            print(
-                f"\n# interrupted; {resolved}/{len(specs)} specs spooled to "
-                f"{args.spool} (re-run the same command to resume)",
-                file=sys.stderr,
+    try:
+        if args.spool is not None:
+            aggregate = runner.run_spooled(
+                specs, ResultSpool(args.spool), manifest=manifest
             )
-            return 130
+        else:
+            records = runner.run(specs)
+    except SweepError as error:
+        print(error, file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        # SIGINT/SIGTERM: the runner already terminated its pool workers
+        # and flushed resolved records to the spool or cache; report and
+        # exit with the conventional interrupted status.
         report = runner.last_report
-        assert report is not None
+        resolved = len(report.sources) if report is not None else 0
+        where = (
+            f"spooled to {args.spool} (re-run the same command to resume)"
+            if args.spool is not None
+            else f"resolved ({'cached for resume' if cache else 'cache disabled'})"
+        )
+        print(f"\n# interrupted; {resolved}/{len(specs)} specs {where}", file=sys.stderr)
+        return 130
+
+    report = runner.last_report
+    assert report is not None
+    if args.spool is not None:
         print(f"\n# {aggregate.summary()}")
         print(
             f"# resolved {report.total} specs in {report.wall_seconds:.2f}s: "
@@ -1013,24 +991,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                if report.skipped_lines else "")
         )
         return 0
-
-    try:
-        records = runner.run(specs)
-    except SweepError as error:
-        print(error, file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        # SIGINT/SIGTERM: the runner already terminated its pool workers
-        # and flushed resolved records to the cache; report and exit with
-        # the conventional interrupted status.
-        report = runner.last_report
-        resolved = len(report.sources) if report is not None else 0
-        print(
-            f"\n# interrupted; {resolved}/{len(specs)} specs resolved "
-            f"({'cached for resume' if cache is not None else 'cache disabled'})",
-            file=sys.stderr,
-        )
-        return 130
 
     open_loop = any(record.backlog is not None for record in records)
     header = f"\n{'label':32s} {'energy kJ':>10s} {'makespan min':>13s} {'mean JCT min':>13s}"
@@ -1051,13 +1011,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         elif open_loop:
             line += f" {'-':>13s}"
         print(line)
-    report = runner.last_report
-    if report is not None:
-        print(
-            f"\n# resolved {report.total} specs in {report.wall_seconds:.2f}s: "
-            f"{report.cache_hits} cached, {report.executed} executed "
-            f"({report.fell_back_serial} serial fallbacks, {report.retried} retries)"
-        )
+    print(
+        f"\n# resolved {report.total} specs in {report.wall_seconds:.2f}s: "
+        f"{report.cache_hits} cached, {report.executed} executed "
+        f"({report.fell_back_serial} serial fallbacks, {report.retried} retries)"
+    )
     return 0
 
 
@@ -1108,43 +1066,36 @@ def _cmd_sweep_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    cache = ResultCache(Path(args.cache_dir) if args.cache_dir else None)
-
-    if args.cache_command == "info":
-        by_generation: dict = {}
-        for entry in cache.entries():
-            count, size = by_generation.get(entry.generation, (0, 0))
-            by_generation[entry.generation] = (count + 1, size + entry.size_bytes)
-        print(f"cache {cache.directory} (current generation v1-{cache.salt[:12]})")
-        if not by_generation:
-            print("  empty")
-            return 0
-        for generation, (count, size) in sorted(by_generation.items()):
-            marker = " *" if generation == f"v1-{cache.salt[:12]}" else ""
-            print(f"  {generation}  {count:6d} entries  {size / 1e6:8.1f} MB{marker}")
-        total = sum(s for _, s in by_generation.values())
-        entries = sum(c for c, _ in by_generation.values())
-        print(f"  total       {entries:6d} entries  {total / 1e6:8.1f} MB")
+def _cmd_cache_info(args: argparse.Namespace) -> int:
+    cache = ResultCache(args.cache_dir)
+    by_generation: dict = {}
+    for entry in cache.entries():
+        count, size = by_generation.get(entry.generation, (0, 0))
+        by_generation[entry.generation] = (count + 1, size + entry.size_bytes)
+    print(f"cache {cache.directory} (current generation v1-{cache.salt[:12]})")
+    if not by_generation:
+        print("  empty")
         return 0
+    for generation, (count, size) in sorted(by_generation.items()):
+        marker = " *" if generation == f"v1-{cache.salt[:12]}" else ""
+        print(f"  {generation}  {count:6d} entries  {size / 1e6:8.1f} MB{marker}")
+    total = sum(s for _, s in by_generation.values())
+    entries = sum(c for c, _ in by_generation.values())
+    print(f"  total       {entries:6d} entries  {total / 1e6:8.1f} MB")
+    return 0
 
-    # cache gc
+
+def _cmd_cache_gc(args: argparse.Namespace) -> int:
     if args.max_age_days is None and args.max_size_mb is None:
         raise cli_error(
             "cache gc needs at least one bound: --max-age-days or --max-size-mb"
         )
-    if args.max_age_days is not None and not (args.max_age_days >= 0):
-        raise cli_error(
-            f"--max-age-days must be a non-negative number (got {args.max_age_days!r})"
-        )
-    if args.max_size_mb is not None and not (args.max_size_mb >= 0):
-        raise cli_error(
-            f"--max-size-mb must be a non-negative number (got {args.max_size_mb!r})"
-        )
+    _non_negative_finite(args.max_age_days, "--max-age-days")
+    _non_negative_finite(args.max_size_mb, "--max-size-mb")
     keep: set = set()
     for path in args.keep_manifest:
         keep.update(load_manifest(path).spec_hashes)
-    report = cache.gc(
+    report = ResultCache(args.cache_dir).gc(
         max_age_seconds=(
             args.max_age_days * 86400.0 if args.max_age_days is not None else None
         ),
@@ -1159,15 +1110,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         verb = "would remove" if report.dry_run else "removed"
         print(f"  {verb} {spec_hash}")
     return 0
-
-
-def _load_trace(path: str):
-    from .observability import read_jsonl
-
-    try:
-        return read_jsonl(path)
-    except (OSError, ValueError) as error:
-        raise cli_error(f"cannot read trace {path!r}: {error}") from None
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -1231,10 +1173,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print(profile_table(profile))
         return 0
 
-    from .observability import report_from_trace
+    from .observability import read_jsonl, report_from_trace
     from .observability.report import machine_series_from_trace
 
-    events = _load_trace(args.file)
+    try:
+        events = read_jsonl(args.file)
+    except (OSError, ValueError) as error:
+        raise cli_error(f"cannot read trace {args.file!r}: {error}") from None
     # Validate up front: the sparkline timeline is the point of `report`,
     # so a snapshot-less trace is an error, not a degraded success.
     try:
@@ -1253,11 +1198,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
 
     jobs = parse_job_tokens(args.jobs)
-    if args.interval is not None and not (args.interval > 0):
-        raise cli_error(
-            f"--interval must be a positive number of simulated seconds "
-            f"(got {args.interval!r})"
-        )
+    _positive_finite(args.interval, "--interval")
     if args.out is not None and not args.out.endswith((".npz", ".json")):
         raise cli_error(
             f"--out {args.out!r}: expected a .npz or .json destination"
@@ -1336,59 +1277,44 @@ def _describe_trace(trace: TraceSpec, path: str) -> None:
     )
 
 
-def _cmd_workload(args: argparse.Namespace) -> int:
-    if args.workload_command == "gen":
-        if not (args.rate > 0) or args.rate == float("inf"):
-            raise cli_error(
-                f"--rate must be a positive finite number of jobs per "
-                f"second (got {args.rate!r})"
-            )
-        if not (args.duration > 0) or args.duration == float("inf"):
-            raise cli_error(
-                f"--duration must be a positive finite number of seconds "
-                f"(got {args.duration!r})"
-            )
-        options = _parse_process_options(args.option)
-        render_kwargs = {}
-        if args.applications is not None:
-            render_kwargs["applications"] = tuple(args.applications)
-        if args.task_counts is not None:
-            render_kwargs["task_counts"] = tuple(args.task_counts)
-        try:
-            process = make_process(args.process, args.rate, **options)
-            trace = render_trace(
-                process,
-                duration_s=args.duration,
-                name=args.name if args.name is not None else Path(args.out).stem,
-                seed=args.seed,
-                **render_kwargs,
-            )
-            write_trace(trace, args.out)
-        except TypeError as error:
-            # make_process surfaces unknown -O keys as constructor errors.
-            raise cli_error(f"--process {args.process}: {error}") from None
-        except TraceError as error:
-            raise CliError(str(error)) from None
-        except OSError as error:
-            raise cli_error(f"cannot write trace {args.out!r}: {error}") from None
-        _describe_trace(trace, args.out)
-        print(f"\ntrace written to {args.out}")
-        return 0
-    trace = load_workload_trace(args.file)
-    if args.workload_command == "validate":
-        print(
-            f"ok: {args.file}: {len(trace.jobs)} jobs, "
-            f"digest {trace.ref().short_digest}"
+def _cmd_workload_gen(args: argparse.Namespace) -> int:
+    _positive_finite(args.rate, "--rate")
+    _positive_finite(args.duration, "--duration")
+    options = _parse_process_options(args.option)
+    render_kwargs = {}
+    if args.applications is not None:
+        render_kwargs["applications"] = tuple(args.applications)
+    if args.task_counts is not None:
+        render_kwargs["task_counts"] = tuple(args.task_counts)
+    try:
+        process = make_process(args.process, args.rate, **options)
+        trace = render_trace(
+            process,
+            duration_s=args.duration,
+            name=args.name if args.name is not None else Path(args.out).stem,
+            seed=args.seed,
+            **render_kwargs,
         )
-        return 0
-    _describe_trace(trace, args.file)
+        write_trace(trace, args.out)
+    except TypeError as error:
+        # make_process surfaces unknown -O keys as constructor errors.
+        raise cli_error(f"--process {args.process}: {error}") from None
+    except OSError as error:
+        raise cli_error(f"cannot write trace {args.out!r}: {error}") from None
+    _describe_trace(trace, args.out)
+    print(f"\ntrace written to {args.out}")
     return 0
 
 
-def _positive_finite(value: float, flag: str) -> None:
-    """Shared ``serve`` flag validation (rejects 0, negatives, nan, inf)."""
-    if not (value > 0) or value == float("inf"):
-        raise cli_error(f"{flag} must be a positive finite number (got {value!r})")
+def _cmd_workload_validate(args: argparse.Namespace) -> int:
+    trace = load_trace(args.file)
+    print(f"ok: {args.file}: {len(trace.jobs)} jobs, digest {trace.ref().short_digest}")
+    return 0
+
+
+def _cmd_workload_describe(args: argparse.Namespace) -> int:
+    _describe_trace(load_trace(args.file), args.file)
+    return 0
 
 
 def _validate_serve(args: argparse.Namespace) -> None:
@@ -1398,10 +1324,8 @@ def _validate_serve(args: argparse.Namespace) -> None:
         raise cli_error(f"--port must be in [0, 65535] (got {args.port})")
     if args.socket is not None and args.port is not None:
         raise cli_error("--socket and --port are mutually exclusive")
-    if args.time_scale is not None:
-        _positive_finite(args.time_scale, "--time-scale")
-    if args.loadgen is not None:
-        _positive_finite(args.loadgen, "--loadgen")
+    _positive_finite(args.time_scale, "--time-scale")
+    _positive_finite(args.loadgen, "--loadgen")
     _positive_finite(args.duration, "--duration")
     if args.connections < 1:
         raise cli_error(f"--connections must be at least 1 (got {args.connections})")
@@ -1416,23 +1340,21 @@ def _validate_serve(args: argparse.Namespace) -> None:
         raise cli_error("--bench-out needs --bench or --loadgen (nothing to measure)")
 
 
-def _write_bench_out(path: Optional[str], summary: dict) -> None:
-    if not path:
-        return
-    import json
-
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2)
-            handle.write("\n")
-    except OSError as error:
-        raise cli_error(f"cannot write {path!r}: {error}") from None
-    print(f"# summary written to {path}")
+def _emit_summary(summary: dict, path: Optional[str]) -> int:
+    """Print a ``--loadgen``/``--bench`` summary, also to ``--bench-out``."""
+    text = json.dumps(summary, indent=2)
+    print(text)
+    if path:
+        try:
+            Path(path).write_text(text + "\n", encoding="utf-8")
+        except OSError as error:
+            raise cli_error(f"cannot write {path!r}: {error}") from None
+        print(f"# summary written to {path}")
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import json
 
     _validate_serve(args)
     load_mode = args.bench or args.loadgen is not None
@@ -1464,9 +1386,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             service_time=args.service_time,
             time_scale=time_scale,
         )
-        print(json.dumps(summary, indent=2))
-        _write_bench_out(args.bench_out, summary)
-        return 0
+        return _emit_summary(summary, args.bench_out)
 
     engine = ServeEngine(
         scheduler=args.scheduler,
@@ -1494,7 +1414,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             connections=args.connections,
             service_time=args.service_time,
             time_scale=time_scale,
-            trace=load_workload_trace(args.trace) if args.trace else None,
+            trace=load_trace(args.trace) if args.trace else None,
         )
 
         async def _run_loadgen() -> dict:
@@ -1514,10 +1434,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             await daemon.wait_stopped()
             return stats.summary()
 
-        summary = asyncio.run(_run_loadgen())
-        print(json.dumps(summary, indent=2))
-        _write_bench_out(args.bench_out, summary)
-        return 0
+        return _emit_summary(asyncio.run(_run_loadgen()), args.bench_out)
 
     async def _run_daemon() -> dict:
         await daemon.start()
@@ -1540,35 +1457,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "catalog":
-            return _cmd_catalog()
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "figure":
-            return _cmd_figure(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "sweep-merge":
-            return _cmd_sweep_merge(args)
-        if args.command == "cache":
-            return _cmd_cache(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "profile":
-            return _cmd_profile(args)
-        if args.command == "workload":
-            return _cmd_workload(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-    except (CliError, ShardError) as error:
+        return args.handler(args)
+    except (CliError, ShardError, TraceError) as error:
         # The one rendering point for every input-validation failure:
         # `file:line: error: message` on stderr, exit status 2.
         # (ShardError covers corrupt/mismatched manifest files, whose
-        # messages already carry the offending path.)
+        # messages already carry the offending path; TraceError carries
+        # the `file:line` of the offending trace row, which is more
+        # useful than any call site's.)
         print(error, file=sys.stderr)
         return 2
     except BrokenPipeError:
@@ -1577,7 +1473,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # so the interpreter's shutdown flush does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE
-    return 2  # pragma: no cover - argparse enforces choices
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -118,18 +118,6 @@ class EnergyAccumulator:
         if self.keep_trace:
             self._trace.append((now, self._utilization))
 
-    def set_dynamic_scale(self, now: float, scale: float) -> None:
-        """Close the window at ``now``, then scale the dynamic term by ``scale``.
-
-        Used by the fault injector's ``slowdown`` event: a thermally
-        throttled machine runs its cores slower and draws proportionally
-        less dynamic power; the idle floor is unaffected.
-        """
-        if scale < 0:
-            raise ValueError("dynamic power scale must be non-negative")
-        self.finish(now)
-        self.dynamic_scale = scale
-
     def power_off(self, now: float) -> None:
         """Close the window at ``now`` and stop accruing energy entirely.
 

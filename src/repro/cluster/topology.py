@@ -53,11 +53,6 @@ class Network:
         """Number of bulk flows currently touching ``machine_id``'s NIC."""
         return self._active_flows.get(machine_id, 0)
 
-    @property
-    def total_flows(self) -> int:
-        """Cluster-wide count of active bulk flows."""
-        return self._total_flows
-
     def begin_flow(self, src_id: int, dst_id: int) -> None:
         """Register a transfer between two machines."""
         for node in (src_id, dst_id):

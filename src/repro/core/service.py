@@ -33,6 +33,7 @@ after interpreter warm-up those are dictionary hits.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from time import perf_counter
 from typing import (
@@ -65,6 +66,7 @@ __all__ = [
     "LocalSchedulerCore",
     "task_report_to_wire",
     "report_fields_from_wire",
+    "wire_float",
 ]
 
 #: Tap callback receiving one wire-shaped dict per core interaction
@@ -77,16 +79,35 @@ class WireError(ValueError):
     """A wire message failed validation (missing field, wrong type/range)."""
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
+def wire_float(key: str, value: Any) -> float:
+    """Validate one wire number: an int or a finite float, never a bool.
+
+    ``json.loads`` accepts ``NaN`` and ``Infinity``; an infinite clock
+    would stall ``advance_time`` forever, so every wire float passes here.
+    The range test also rejects integers beyond float range.
+    """
+    if type(value) is float and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return value  # fast path: the plain JSON float every heartbeat carries
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise WireError(f"field {key!r} must be float, got {type(value).__name__}")
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise WireError(f"field {key!r} must be finite, got {value!r}")
+    return float(value)
+
+
 def _require(mapping: Dict[str, Any], key: str, kind: type) -> Any:
     try:
         value = mapping[key]
     except KeyError:
         raise WireError(f"missing field {key!r}") from None
+    if kind is float:
+        return wire_float(key, value)
     # bool is an int subclass; a JSON ``true`` is never a valid count.
     if kind is int and isinstance(value, bool):
         raise WireError(f"field {key!r} must be {kind.__name__}, got bool")
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
     if not isinstance(value, kind):
         raise WireError(
             f"field {key!r} must be {kind.__name__}, got {type(value).__name__}"
@@ -287,7 +308,9 @@ def report_fields_from_wire(data: Dict[str, Any]) -> Dict[str, Any]:
     for entry in raw_samples:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise WireError("each sample must be a [utilization, duration] pair")
-        samples.append(UtilizationSample(float(entry[0]), float(entry[1])))
+        samples.append(
+            UtilizationSample(wire_float("samples", entry[0]), wire_float("samples", entry[1]))
+        )
     phases = _require(data, "phases", dict)
     local = _require(data, "local", bool)
     return {

@@ -10,7 +10,7 @@ roll-ups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Generator, List, Optional, Tuple
 
 from ..cluster import Cluster
 from ..simulation import Simulator
@@ -104,14 +104,3 @@ class ClusterMeter:
         if not series:
             raise ValueError(f"no readings for machine {machine_id}")
         return sum(r.power_watts for r in series) / len(series)
-
-    def cumulative_by_type(self) -> Dict[str, float]:
-        """Latest cumulative joules per machine model."""
-        latest: Dict[int, MeterReading] = {}
-        for reading in self.readings:
-            latest[reading.machine_id] = reading
-        totals: Dict[str, float] = {}
-        for machine_id, reading in latest.items():
-            model = self.cluster.machine(machine_id).spec.model
-            totals[model] = totals.get(model, 0.0) + reading.cumulative_joules
-        return totals

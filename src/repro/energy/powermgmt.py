@@ -92,9 +92,6 @@ class PowerManager:
     def total_saved_joules(self) -> float:
         return sum(self.saved_joules.values())
 
-    def asleep_machines(self) -> List[int]:
-        return sorted(self._asleep_since)
-
     # ----------------------------------------------------------- transitions
     def notify_busy(self, machine_id: int, now: float) -> float:
         """A task is being placed; wake the machine if needed.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["HadoopConfig"]
@@ -62,6 +63,11 @@ class HadoopConfig:
     speculative_slowness_threshold: float = 0.5
 
     def __post_init__(self) -> None:
+        # NaN slips past every range check below (all its comparisons are
+        # false) and would, e.g., silently disable tracker expiry.
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat interval must be positive")
         if self.block_mb <= 0:

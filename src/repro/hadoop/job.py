@@ -306,10 +306,6 @@ class Job:
     def pending_reduce_count(self) -> int:
         return self._num_pending_reduces
 
-    @property
-    def has_pending_work(self) -> bool:
-        return bool(self._num_pending_maps or self._num_pending_reduces)
-
     def reduces_schedulable(self, slowstart: float) -> bool:
         """Whether reduce tasks may be launched yet (slowstart gate)."""
         if not self._num_pending_reduces:

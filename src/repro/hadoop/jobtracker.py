@@ -275,12 +275,6 @@ class JobTracker:
         self.core.job_added(job)
         return job
 
-    def next_job_id(self) -> int:
-        """Reserve the next job id (for submit_prepared callers)."""
-        job_id = self._next_job_id
-        self._next_job_id += 1
-        return job_id
-
     def _job_done(self, job: Job) -> None:
         self.active_jobs.remove(job)
         self.completed_jobs.append(job)
@@ -453,10 +447,6 @@ class JobTracker:
     # ---------------------------------------------------------------- queries
     def job(self, job_id: int) -> Job:
         return self.jobs[job_id]
-
-    def pending_work_exists(self) -> bool:
-        """Any active job with unfinished tasks?"""
-        return any(not job.is_done for job in self.active_jobs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -181,10 +181,6 @@ class TaskTracker:
         if process is not None:
             process.interrupt("killed")
 
-    @property
-    def is_crashed(self) -> bool:
-        return self._crashed
-
     def crash(self) -> None:
         """Fail the node: heartbeats stop, resident work dies silently.
 

@@ -28,6 +28,7 @@ from ..core.service import (
     TrackerInfo,
     WireError,
     report_fields_from_wire,
+    wire_float,
 )
 from ..hadoop import BlockPlacer, HadoopConfig, Job, JobTracker
 from ..observability.metrics import Histogram
@@ -69,7 +70,7 @@ def job_from_wire(sim: Simulator, data: Dict[str, Any], block_mb: float) -> Job:
         )
     except WireError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise WireError(f"bad job description: {exc}") from exc
 
 
@@ -154,10 +155,7 @@ class ServeEngine:
 
     def _resolve_now(self, message: Dict[str, Any]) -> float:
         if self.trust_wire_now and "now" in message:
-            raw = message["now"]
-            if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-                raise WireError("field 'now' must be a number")
-            return max(float(raw), self.sim.now)
+            return max(wire_float("now", message["now"]), self.sim.now)
         return self.sim.now
 
     # --------------------------------------------------------------- dispatch
@@ -275,13 +273,13 @@ class ServeEngine:
                 profile = profile_by_name(str(message["application"]))
             except KeyError as exc:
                 raise WireError(exc.args[0]) from None
-            if "input_gb" in message:
-                input_mb = float(message["input_gb"]) * 1024.0
-            elif "input_mb" in message:
-                input_mb = float(message["input_mb"])
-            else:
+            if "input_gb" not in message and "input_mb" not in message:
                 raise WireError("submit needs 'input_gb' or 'input_mb' (or a full 'job')")
             try:
+                if "input_gb" in message:
+                    input_mb = float(message["input_gb"]) * 1024.0
+                else:
+                    input_mb = float(message["input_mb"])
                 spec = JobSpec(
                     profile=profile,
                     input_mb=input_mb,
@@ -289,7 +287,7 @@ class ServeEngine:
                     submit_time=now,
                     pool=str(message.get("pool", "default")),
                 )
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise WireError(f"bad job spec: {exc}") from exc
             job = self.jobtracker.submit(spec)
         return {

@@ -150,9 +150,6 @@ class Simulator:
         return event
 
     # ------------------------------------------------------------- scheduling
-    def _push(self, when: float, priority: int, event: Event) -> None:
-        event._heap_seq = self._heap.push(when, priority, event)
-
     def _schedule_dispatch(self, event: Event) -> None:
         """Queue an already-triggered event for callback dispatch *now*.
 

@@ -61,11 +61,6 @@ class EventHeap:
     def __bool__(self) -> bool:
         return len(self._entries) > len(self._cancelled)
 
-    @property
-    def last_seq(self) -> int:
-        """The most recently issued sequence number."""
-        return self._seq
-
     # ------------------------------------------------------------------- ops
     def push(self, when: float, priority: int, payload: Any) -> int:
         """Queue ``payload``; returns the entry's handle (its seq number)."""

@@ -14,6 +14,7 @@ Work amounts are calibrated so that, on the reference desktop:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List
 
 from .profiles import JobSpec, WorkloadProfile
@@ -86,7 +87,7 @@ def puma_job(
     """
     profile = profile_by_name(name)
     input_mb = input_gb * 1024.0
-    if num_reduces <= 0:
+    if num_reduces <= 0 and math.isfinite(input_mb):
         num_reduces = max(1, int(round(input_mb / 64.0 / 8.0)))
     return JobSpec(
         profile=profile,

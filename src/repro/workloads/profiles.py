@@ -136,12 +136,17 @@ class JobSpec:
     name: str = field(default="")
 
     def __post_init__(self) -> None:
-        if self.input_mb <= 0:
-            raise ValueError("input size must be positive")
+        # Range tests written so NaN fails them (its comparisons are all false).
+        if not (0 < self.input_mb < math.inf):
+            raise ValueError(
+                f"input size must be a positive finite number of MB, got {self.input_mb!r}"
+            )
         if self.num_reduces < 0:
             raise ValueError("reduce count must be non-negative")
-        if self.submit_time < 0:
-            raise ValueError("submit time must be non-negative")
+        if not (0 <= self.submit_time < math.inf):
+            raise ValueError(
+                f"submit time must be a non-negative finite number, got {self.submit_time!r}"
+            )
         if self.size_class is not None and self.size_class not in SIZE_CLASSES:
             raise ValueError(f"unknown size class {self.size_class!r}")
         if not self.name:

@@ -1,5 +1,8 @@
 """ServeEngine message-handling semantics (no sockets, no asyncio)."""
 
+import json
+import threading
+
 import pytest
 
 from repro.serve import ServeEngine
@@ -183,3 +186,74 @@ class TestSession:
         stats = engine.shutdown()
         assert engine.jobtracker.is_shutdown
         assert stats["errors"] == 0
+
+
+def handle_within(engine, message, timeout=10.0):
+    """``engine.handle(message)``, failing the test if it does not return."""
+    replies = []
+    worker = threading.Thread(
+        target=lambda: replies.append(engine.handle(message)), daemon=True
+    )
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), f"handle() did not return for {message!r}"
+    return replies[0]
+
+
+class TestNonFiniteWire:
+    """``json.loads`` accepts ``NaN``/``Infinity``: a non-finite clock or
+    size must come back as an error reply, never hang or raise."""
+
+    HEARTBEAT = (
+        '"machine_id": 0, "free_map_slots": 2, "free_reduce_slots": 2, '
+        '"running_maps": 0, "running_reduces": 0'
+    )
+
+    @pytest.mark.parametrize("now", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("mtype", ["tick", "heartbeat"])
+    def test_non_finite_now_is_an_error(self, mtype, now):
+        engine = make_engine()  # trust_wire_now=True, as in replay
+        assert register(engine)["type"] == "ok"
+        message = json.loads(
+            f'{{"type": "{mtype}", "now": {now}, "seq": 11, {self.HEARTBEAT}}}'
+        )
+        reply = handle_within(engine, message)
+        assert reply["type"] == "error"
+        assert reply["seq"] == 11
+        assert "now" in reply["message"]
+        assert engine.errors == 1
+        # The engine still serves a well-formed clock afterwards.
+        assert handle_within(engine, {"type": "tick", "now": 1.0})["type"] == "ok"
+
+    def test_non_finite_sample_is_an_error(self):
+        engine = make_engine()
+        reply = handle_within(engine, json.loads(
+            '{"type": "report", "task_id": "job0-m-0000", "attempt_id": "x", '
+            '"kind": "map", "machine_id": 0, "start_time": 0.0, '
+            '"finish_time": 1.0, "avg_utilization": 0.5, "local": true, '
+            '"samples": [[NaN, 1.0]], "phases": {"cpu": 1.0}, "seq": 3}'
+        ))
+        assert reply["type"] == "error" and reply["seq"] == 3
+        assert "samples" in reply["message"]
+
+
+class TestBadSubmitSizes:
+    """Every malformed ``submit`` size is an error reply with ``seq``."""
+
+    @pytest.mark.parametrize(
+        "size",
+        [
+            '"input_gb": "abc"',
+            '"input_mb": Infinity',
+            '"input_mb": NaN',
+            '"input_gb": -Infinity',
+            '"input_mb": 1e400',
+        ],
+    )
+    def test_bad_size_is_an_error(self, size):
+        engine = make_engine()
+        message = json.loads(f'{{"type": "submit", "application": "grep", {size}, "seq": 5}}')
+        reply = handle_within(engine, message)
+        assert reply["type"] == "error"
+        assert reply["seq"] == 5
+        assert engine.errors == 1

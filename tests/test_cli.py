@@ -355,3 +355,91 @@ class TestTraceStreaming:
         missing = str(tmp_path / "absent.jsonl")
         assert main(["trace", missing]) == 2
         assert "cannot read trace" in capsys.readouterr().err
+
+
+@pytest.fixture
+def trace_file(tmp_path, capsys):
+    """A small diurnal workload trace (17 arrivals over 240 s)."""
+    path = tmp_path / "diurnal.csv"
+    assert main(["workload", "gen", "--process", "diurnal", "--rate", "0.05",
+                 "--duration", "240", "-O", "period_s=240", "--seed", "7",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    return str(path)
+
+
+class TestSharedWorkloadFlags:
+    """`run` and `sweep` share the --trace/--horizon/--tracker-expiry/
+    --faults flag group and its validation: every bad value exits 2 with
+    one stderr line naming the flag, before anything is simulated."""
+
+    COMMANDS = {
+        "run": ["run"],
+        "sweep": ["sweep", "--dry-run", "--no-cache"],
+    }
+
+    @pytest.fixture(params=sorted(COMMANDS))
+    def command(self, request):
+        return list(self.COMMANDS[request.param])
+
+    def _one_error_line(self, capsys, fragment):
+        captured = capsys.readouterr()
+        assert fragment in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-3"])
+    def test_bad_tracker_expiry(self, command, value, capsys):
+        assert main(command + ["--jobs", "grep:1", "--tracker-expiry", value]) == 2
+        self._one_error_line(capsys, "--tracker-expiry")
+
+    def test_horizon_requires_trace(self, command, capsys):
+        assert main(command + ["--horizon", "100"]) == 2
+        self._one_error_line(capsys, "--horizon requires --trace")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+    def test_bad_horizon_value(self, command, value, trace_file, capsys):
+        assert main(command + ["--trace", trace_file, "--horizon", value]) == 2
+        self._one_error_line(capsys, "--horizon")
+
+    def test_trace_and_jobs_are_mutually_exclusive(self, command, trace_file, capsys):
+        assert main(command + ["--trace", trace_file, "--jobs", "grep:1"]) == 2
+        self._one_error_line(capsys, "mutually exclusive")
+
+    def test_bad_faults_json(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{nope")
+        assert main(command + ["--jobs", "grep:1", "--faults", str(path)]) == 2
+        self._one_error_line(capsys, "invalid JSON")
+
+    @pytest.mark.parametrize("token", ["grep:nan", "grep:inf", "grep:1e308"])
+    def test_non_finite_job_size(self, command, token, capsys):
+        assert main(command + ["--jobs", token]) == 2
+        self._one_error_line(capsys, "expected form app:gb")
+
+
+class TestTraceDrivenSweep:
+    """`sweep --trace/--horizon/--tracker-expiry` reach every grid point."""
+
+    def test_open_loop_sweep_prints_done_over_offered(self, trace_file, capsys):
+        assert main(["sweep", "--trace", trace_file, "--horizon", "150",
+                     "--schedulers", "fair", "e-ant", "--seeds", "0",
+                     "--workers", "1", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "done/offered" in out
+        rows = [line for line in out.splitlines() if line.startswith("diurnal/")]
+        assert [row.split()[0] for row in rows] == ["diurnal/fair@seed0", "diurnal/e-ant@seed0"]
+        assert all("/" in row.split()[-1] for row in rows)
+
+    def test_grid_identity_folds_in_shared_flags(self, trace_file, capsys):
+        base = ["sweep", "--trace", trace_file, "--schedulers", "fair", "--seeds", "0",
+                "--dry-run", "--no-cache"]
+
+        def grid_hash(extra):
+            assert main(base + extra) == 0
+            return capsys.readouterr().out.splitlines()[1].split()[0]
+
+        closed = grid_hash([])
+        assert len({closed, grid_hash(["--horizon", "150"]),
+                    grid_hash(["--tracker-expiry", "45"])}) == 3
+        assert grid_hash([]) == closed

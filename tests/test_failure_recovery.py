@@ -175,3 +175,24 @@ class TestCrashRecovery:
         ]
         if lost:
             assert not job.is_done
+
+
+class TestExpiryConfigValidation:
+    """NaN fails every comparison, so a NaN expiry would pass a range
+    check and never fire (``now - last >= nan`` is always false)."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_expiry_rejected(self, value):
+        with pytest.raises(ValueError, match="tracker_expiry must be finite"):
+            HadoopConfig(tracker_expiry=value)
+
+    @pytest.mark.parametrize(
+        "field", ["heartbeat_interval", "control_interval", "reduce_slowstart", "block_mb"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_every_float_field_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            HadoopConfig(**{field: value})
+
+    def test_zero_still_disables_expiry(self):
+        assert HadoopConfig(tracker_expiry=0.0).tracker_expiry == 0.0

@@ -81,3 +81,21 @@ class TestJobSpec:
             JobSpec(profile=WORDCOUNT, input_mb=64.0, num_reduces=-1)
         with pytest.raises(ValueError):
             JobSpec(profile=WORDCOUNT, input_mb=64.0, num_reduces=1, size_class="huge")
+
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_input_rejected(self, size):
+        # NaN passes `input_mb <= 0`; it used to fail later inside num_maps.
+        with pytest.raises(ValueError, match="positive finite"):
+            JobSpec(profile=WORDCOUNT, input_mb=size, num_reduces=1)
+
+    @pytest.mark.parametrize("when", [float("nan"), float("inf")])
+    def test_non_finite_submit_time_rejected(self, when):
+        with pytest.raises(ValueError, match="non-negative finite"):
+            JobSpec(profile=WORDCOUNT, input_mb=64.0, num_reduces=1, submit_time=when)
+
+    @pytest.mark.parametrize("gb", [float("nan"), float("inf"), 1e308])
+    def test_puma_job_rejects_non_finite_sizes(self, gb):
+        from repro.workloads import puma_job
+
+        with pytest.raises(ValueError, match="positive finite"):
+            puma_job("grep", gb)
