@@ -2,11 +2,12 @@
 
 The kernel and assignment-loop optimizations (indexed heap dispatch,
 memoized pheromone normalizers, cached slot totals, gated tracker-expiry
-sweeps, batched energy integration) are all *pure* transformations: they
-must compute exactly the same floating-point expressions in the same
-order as the straightforward code they replaced, so every simulation
-stays bit-identical.  This module keeps the straightforward code alive
-as the executable specification of that contract.
+sweeps, idle-heartbeat parking, batched energy integration) are all
+*pure* transformations: they must compute exactly the same
+floating-point expressions in the same order as the straightforward code
+they replaced, so every simulation stays bit-identical.  This module
+keeps the straightforward code alive as the executable specification of
+that contract.
 
 :func:`reference_mode` swaps the naive implementations in (monkey-style,
 on the classes themselves) for the duration of a ``with`` block; the
@@ -20,9 +21,9 @@ The naive bodies are faithful transcriptions of the pre-optimization
 code, not simplified rewrites: ``_stats`` recomputes the row normalizers
 on every query, ``total_slots`` re-sums the fleet, the simulator run
 loop composes :meth:`EventHeap.pop` + :meth:`Event._dispatch` one frame
-per event, the expiry sweep scans every tracker on every heartbeat, and
-the energy integrator goes through the :class:`PowerModel` helper
-methods.
+per event, the expiry sweep scans every tracker on every heartbeat,
+every TaskTracker heartbeats every interval (no idle parking), and the
+energy integrator goes through the :class:`PowerModel` helper methods.
 """
 
 from __future__ import annotations
@@ -237,6 +238,10 @@ def _reference_expire_dead_trackers(self: JobTracker) -> None:
         self.expire_tracker(machine_id)
 
 
+def _reference_park_idle(self: JobTracker, tracker, status, assignments) -> None:
+    """Heartbeat every ``heartbeat_interval``: no tracker ever parks."""
+
+
 # ------------------------------------------------------------------ energy
 def _reference_machine_advance(self: Machine) -> None:
     """Close the utilization/energy window unconditionally (no zero-length
@@ -281,6 +286,7 @@ REFERENCE_PATCHES: Dict[Tuple[type, str], Any] = {
     (Simulator, "_schedule_dispatch"): _reference_schedule_dispatch,
     (Simulator, "run"): _reference_run,
     (JobTracker, "_expire_dead_trackers"): _reference_expire_dead_trackers,
+    (JobTracker, "_park_idle"): _reference_park_idle,
     (Machine, "_advance"): _reference_machine_advance,
     (EnergyAccumulator, "advance"): _reference_energy_advance,
 }

@@ -285,6 +285,9 @@ class EAntScheduler(Scheduler):
                 )
 
     # ------------------------------------------------------------ assignment
+    def may_assign(self) -> bool:
+        return self.has_assignable_work()
+
     def select_tasks(self, status: TrackerStatus) -> List[Task]:
         assignments: List[Task] = []
         stats = self.slot_stats

@@ -6,8 +6,8 @@ pluggable :class:`~repro.schedulers.base.Scheduler` — the same control
 surface the paper modifies in Hadoop 1.2.1 (Section V-A).  The DES is one
 *host* of that core (the :mod:`repro.serve` daemon is the other): this
 module keeps the host concerns — the sim clock, heartbeat bookkeeping,
-lazy tracker expiry, trace emission — and the core keeps the decision
-concerns.  It also drives the periodic control-interval tick E-Ant's
+lazy tracker expiry, parking idle trackers, trace emission — and the
+core keeps the decision concerns.  It also drives the periodic control-interval tick E-Ant's
 adaptive task assigner re-optimizes on, and fans completed-task reports
 out to the scheduler and any registered listeners (metrics collectors,
 task analyzers).
@@ -15,7 +15,8 @@ task analyzers).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional
+from heapq import heappop, heappush, heapreplace
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -129,6 +130,33 @@ class JobTracker:
         #: lower bound on the earliest time any tracker could go stale; lets
         #: the per-heartbeat expiry sweep short-circuit (see the sweep)
         self._no_expiry_before = 0.0
+        #: Parked trackers by machine id (see :meth:`_park_idle`).
+        self._parked: Dict[int, TaskTracker] = {}
+        #: Min-heap of ``[next_beat, machine_id, last_beat]`` phase chains
+        #: over the parked trackers that have a free slot, and each
+        #: tracker's entry in it.
+        self._wake_queue: List[list] = []
+        self._queued: Dict[int, list] = {}
+        #: The tracker last woken for pending work, until it heartbeats.
+        self._waking: Optional[TaskTracker] = None
+        self._waking_at = 0.0
+        #: Registered trackers that are crashed or dropping heartbeats;
+        #: while any exists no tracker parks.
+        self._unsteady: Set[int] = set()
+        # Parking must leave every observable unchanged: only a policy that
+        # overrides may_assign() can park, a trace keeps one event per
+        # heartbeat, the registry a heartbeat-gap histogram, and with
+        # heartbeat_interval >= tracker_expiry live trackers expire each
+        # other between their own heartbeats.  (Imported here: the
+        # schedulers package imports repro.hadoop.)
+        from ..schedulers.base import Scheduler
+
+        self._parking = (
+            type(scheduler).may_assign is not Scheduler.may_assign
+            and not tracer.enabled
+            and registry is None
+            and not 0 < config.tracker_expiry <= config.heartbeat_interval
+        )
 
         scheduler.bind(self)
 
@@ -249,6 +277,7 @@ class JobTracker:
         if self.tracer.enabled:
             self._trace_job_submitted(job)
         self.core.job_added(job)
+        self._work_appeared()
         return job
 
     def _trace_job_submitted(self, job: Job) -> None:
@@ -273,6 +302,7 @@ class JobTracker:
         if self.tracer.enabled:
             self._trace_job_submitted(job)
         self.core.job_added(job)
+        self._work_appeared()
         return job
 
     def _job_done(self, job: Job) -> None:
@@ -295,6 +325,9 @@ class JobTracker:
         if self._shutdown:
             return
         self._shutdown = True
+        # Parked trackers take the one last heartbeat timeout they would
+        # have taken anyway, and stop on it.
+        self._wake_all()
         if not self.all_done_event.triggered:
             self.all_done_event.succeed(self.sim.now)
 
@@ -307,6 +340,8 @@ class JobTracker:
         Stale trackers are expired lazily on every live heartbeat, as in
         Hadoop.
         """
+        if tracker is self._waking:
+            self._waking = None
         if self._shutdown:
             return []
         machine_id = tracker.machine.machine_id
@@ -333,7 +368,128 @@ class JobTracker:
                 assigned_reduces=core.last_reduces,
                 gap=None if previous is None else self.sim.now - previous,
             )
+        if self._parking:
+            self._park_idle(tracker, status, assignments)
         return assignments
+
+    # ---------------------------------------------------------------- parking
+    def _park_idle(self, tracker: TaskTracker, status, assignments: List[Task]) -> None:
+        """Park ``tracker`` if its heartbeats cannot assign; keep work moving.
+
+        A tracker whose heartbeat assigned nothing parks when no job has
+        assignable work (``may_assign()`` is False) or when it has no free
+        slot: the heartbeats it skips would assign nothing and change
+        nothing else.  While work is pending, parked trackers with a free
+        slot are woken one at a time in the order of their next heartbeat
+        phase (:meth:`_wake_next`), since a later one can only take work
+        the earlier ones left pending.  New work (a submit, a requeue, a
+        reduce slowstart crossing) or a slot freeing on a parked tracker
+        restarts that cascade; a tracker crashing or dropping heartbeats,
+        an expiry, and shutdown wake every parked tracker.  So every
+        heartbeat a never-parking run makes while work is pending still
+        happens, at the same instant, and results are bit-identical
+        (``reference_mode()`` never parks; the differential suite compares).
+        """
+        if self._unsteady or (assignments and not self._wake_queue):
+            return
+        work = self.scheduler.may_assign()
+        if not assignments:
+            free = status.free_map_slots or status.free_reduce_slots
+            if not work or not free:
+                machine_id = status.machine_id
+                tracker.park()
+                self._parked[machine_id] = tracker
+                if free:
+                    self._enqueue(machine_id, self.sim.now)
+        if work:
+            self._wake_next()
+
+    def _enqueue(self, machine_id: int, last: float) -> None:
+        entry = [last + self.config.heartbeat_interval, machine_id, last]
+        heappush(self._wake_queue, entry)
+        self._queued[machine_id] = entry
+
+    def _advance(self, last: float, beat: float) -> Tuple[float, float]:
+        """Step a phase chain to its first heartbeat at or after now.
+
+        Repeats the ``+ heartbeat_interval`` float addition the heartbeat
+        timeouts make, so ``beat`` is exactly a time the tracker would have
+        heartbeated at, and ``last`` the heartbeat before it.
+        """
+        interval = self.config.heartbeat_interval
+        now = self.sim.now
+        while beat < now:
+            last = beat
+            beat += interval
+        return last, beat
+
+    def _wake(self, machine_id: int, tracker: TaskTracker, last: float, beat: float) -> None:
+        self.last_heartbeat[machine_id] = last
+        # The expiry sweep skipped this tracker while it was parked.
+        expiry = self.config.tracker_expiry
+        if expiry > 0 and last + expiry < self._no_expiry_before:
+            self._no_expiry_before = last + expiry
+        tracker.wake(beat)
+
+    def _wake_next(self) -> None:
+        """Work is pending: wake the parked tracker with a free slot that
+        heartbeats first, unless one woken for it heartbeats no later."""
+        queue = self._wake_queue
+        if not queue:
+            return
+        now = self.sim.now
+        entry = queue[0]
+        while entry[0] < now:
+            beat, machine_id, last = entry
+            last, beat = self._advance(last, beat)
+            entry = [beat, machine_id, last]
+            heapreplace(queue, entry)
+            self._queued[machine_id] = entry
+            entry = queue[0]
+        beat, machine_id, last = entry
+        if self._waking is not None and now <= self._waking_at <= beat:
+            return
+        heappop(queue)
+        del self._queued[machine_id]
+        tracker = self._parked.pop(machine_id)
+        self._wake(machine_id, tracker, last, beat)
+        self._waking = tracker
+        self._waking_at = beat
+
+    def _work_appeared(self) -> None:
+        if self._wake_queue and self.scheduler.may_assign():
+            self._wake_next()
+
+    def slot_freed(self, tracker: TaskTracker) -> None:
+        """A slot freed on a parked tracker: it may now take pending work."""
+        machine_id = tracker.machine.machine_id
+        if machine_id not in self._queued:
+            self._enqueue(machine_id, self.last_heartbeat[machine_id])
+            self._work_appeared()
+
+    def _wake_all(self) -> None:
+        """Wake every parked tracker (a fault, an expiry, or shutdown)."""
+        self._waking = None
+        interval = self.config.heartbeat_interval
+        parked, self._parked = self._parked, {}
+        self._wake_queue.clear()
+        self._queued.clear()
+        for machine_id, tracker in parked.items():
+            last = self.last_heartbeat[machine_id]
+            self._wake(machine_id, tracker, *self._advance(last, last + interval))
+
+    def tracker_health_changed(self, tracker: TaskTracker) -> None:
+        """A tracker crashed, recovered, or started/stopped dropping
+        heartbeats.  Expiry then depends on every heartbeat's sweep, so
+        no tracker sleeps while a registered one is unsteady."""
+        machine_id = tracker.machine.machine_id
+        if self.trackers.get(machine_id) is tracker and (
+            tracker.is_crashed or tracker.heartbeat_drop_probability > 0.0
+        ):
+            self._unsteady.add(machine_id)
+            self._wake_all()
+        else:
+            self._unsteady.discard(machine_id)
 
     # ----------------------------------------------------------- failures
     def _expire_dead_trackers(self) -> None:
@@ -353,9 +509,10 @@ class JobTracker:
         if now < self._no_expiry_before:
             return
         oldest = None
+        parked = self._parked
         for machine_id, tracker in list(self.trackers.items()):
             last = self.last_heartbeat.get(machine_id)
-            if last is None:
+            if last is None or machine_id in parked:
                 continue
             if now - last >= expiry:
                 self.expire_tracker(machine_id)
@@ -375,6 +532,11 @@ class JobTracker:
         tracker = self.trackers.pop(machine_id, None)
         if tracker is None:
             return
+        self._unsteady.discard(machine_id)
+        if machine_id in self._parked or tracker is self._waking:
+            # It heartbeats on into ``[]``, so it must neither stay parked
+            # nor be the tracker a pending-work cascade waits on.
+            self._wake_all()
         self.expired_trackers.append(machine_id)
         if self.tracer.enabled:
             self.tracer.emit(EventType.TRACKER_EXPIRED, self.sim.now, machine_id=machine_id)
@@ -397,6 +559,8 @@ class JobTracker:
                         latest.finish_time = self.sim.now
                     job.requeue(task)
                     requeued += 1
+        if requeued:
+            self._work_appeared()
         return requeued
 
     def tracker_recovered(self, tracker: TaskTracker) -> None:
@@ -412,6 +576,7 @@ class JobTracker:
         machine_id = tracker.machine.machine_id
         self.trackers[machine_id] = tracker
         self.last_heartbeat[machine_id] = self.sim.now
+        self.tracker_health_changed(tracker)
         self._requeue_lost_tasks(machine_id)
         self.recovered_trackers.append(machine_id)
         if self.tracer.enabled:
@@ -427,8 +592,19 @@ class JobTracker:
     def task_finished(self, tracker: TaskTracker, attempt: TaskAttempt) -> None:
         """A TaskTracker reports a successful attempt."""
         task = attempt.task
+        job = task.job
         already_done = task.state.value == "completed"
-        task.job.complete_task(task)
+        # A map completion can open its job's reduce slowstart gate: new
+        # work for parked trackers.
+        slowstart = self.config.reduce_slowstart
+        gated = (
+            bool(self._wake_queue)
+            and task.is_map
+            and not job.reduces_schedulable(slowstart)
+        )
+        job.complete_task(task)
+        if gated and job.reduces_schedulable(slowstart):
+            self._work_appeared()
         if already_done:
             return  # speculative duplicate: winner already reported
         report = attempt.to_report()
@@ -443,6 +619,7 @@ class JobTracker:
         attempt.killed = True
         if task.state.value == "running":
             task.job.requeue(task)
+            self._work_appeared()
 
     # ---------------------------------------------------------------- queries
     def job(self, job_id: int) -> Job:

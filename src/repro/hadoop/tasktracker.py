@@ -1,8 +1,9 @@
 """TaskTrackers: per-machine slot management and task execution.
 
-Each machine runs one :class:`TaskTracker` process that heartbeats the
-JobTracker every ``heartbeat_interval`` seconds (Section V: 3 s), offering
-its free map/reduce slots.  Tasks handed back are executed as simulation
+Each machine runs one :class:`TaskTracker` that heartbeats the JobTracker
+every ``heartbeat_interval`` seconds (Section V: 3 s), offering its free
+map/reduce slots; an idle tracker may skip heartbeats that cannot assign
+(see ``JobTracker._park_idle``).  Tasks handed back are executed as simulation
 processes that move through explicit phases (IO / CPU for maps; shuffle /
 sort / reduce for reduces), register CPU and IO load on the machine (which
 drives the ground-truth energy integration), and on completion ship a
@@ -20,7 +21,7 @@ from ..cluster import Machine
 from ..energy.model import samples_from_phases
 from ..noise import NO_NOISE, NoiseModel
 from ..observability.tracer import NULL_TRACER, EventType
-from ..simulation import Interrupt, Process, Simulator
+from ..simulation import Event, Interrupt, Process, Simulator
 from .config import HadoopConfig
 from .job import Task, TaskAttempt, TaskKind
 
@@ -78,7 +79,12 @@ class TaskTracker:
         self.running_maps = 0
         self.running_reduces = 0
         self._attempt_processes: Dict[str, Process] = {}
-        self._heartbeat_process: Optional[Process] = None
+        #: The queued timeout of the next heartbeat; None while parked or
+        #: stopped.  A heartbeat event that is no longer this one was
+        #: orphaned by a crash and does nothing when it fires.
+        self._next_beat: Optional[Event] = None
+        #: Skipping heartbeats until the JobTracker wakes it (see :meth:`park`).
+        self.parked = False
         self._crashed = False
         #: probability a heartbeat is silently dropped (fault injection);
         #: draws come from the injector's dedicated "faults" stream so the
@@ -94,28 +100,64 @@ class TaskTracker:
         self.jobtracker = jobtracker
         self.tracer = jobtracker.tracer
         jobtracker.register_tracker(self)
-        self._heartbeat_process = self.sim.process(
-            self._heartbeat_loop(), name=f"tt-{self.machine.hostname}"
-        )
+        self._start_heartbeats()
 
-    def _heartbeat_loop(self) -> Generator:
-        assert self.jobtracker is not None
+    def _start_heartbeats(self) -> None:
         # Desynchronize trackers slightly, as real daemons are.
-        yield self.sim.timeout(float(self.rng.uniform(0, self.config.heartbeat_interval)))
-        while not self.jobtracker.is_shutdown and not self._crashed:
-            if (
-                self.heartbeat_drop_probability > 0.0
-                and self._flaky_rng is not None
-                and float(self._flaky_rng.random()) < self.heartbeat_drop_probability
-            ):
-                # Flaky NIC/daemon: the heartbeat is lost in transit.  The
-                # JobTracker sees nothing — long enough streaks trip expiry.
-                assignments: List[Task] = []
-            else:
-                assignments = self.jobtracker.heartbeat(self)
-            for task in assignments:
-                self.launch(task)
-            yield self.sim.timeout(self.config.heartbeat_interval)
+        delay = float(self.rng.uniform(0, self.config.heartbeat_interval))
+        self._queue_beat(self.sim.timeout(delay))
+
+    def _queue_beat(self, event: Event) -> None:
+        self._next_beat = event
+        event.add_callback(self._beat)
+
+    def _beat(self, event: Event) -> None:
+        """One heartbeat: offer the free slots, launch what comes back,
+        queue the next heartbeat one ``heartbeat_interval`` later."""
+        jobtracker = self.jobtracker
+        assert jobtracker is not None
+        if event is not self._next_beat:
+            return
+        if jobtracker.is_shutdown:
+            self._next_beat = None
+            return
+        if (
+            self.heartbeat_drop_probability > 0.0
+            and self._flaky_rng is not None
+            and float(self._flaky_rng.random()) < self.heartbeat_drop_probability
+        ):
+            # Flaky NIC/daemon: the heartbeat is lost in transit.  The
+            # JobTracker sees nothing — long enough streaks trip expiry.
+            assignments: List[Task] = []
+        else:
+            assignments = jobtracker.heartbeat(self)
+        for task in assignments:
+            self.launch(task)
+        if self._next_beat is event:
+            self._queue_beat(self.sim.timeout(self.config.heartbeat_interval))
+
+    def park(self) -> None:
+        """Skip heartbeats until :meth:`wake`.
+
+        Called by the JobTracker from inside this tracker's heartbeat,
+        which assigned nothing.
+        """
+        self._next_beat = None
+        self.parked = True
+
+    def wake(self, next_beat: float) -> None:
+        """End the park: heartbeat next at absolute time ``next_beat``.
+
+        The JobTracker rebuilt ``next_beat`` with the same float additions
+        the heartbeat timeouts make, so it is exactly a time this tracker
+        would have heartbeated at had it never parked.
+        """
+        self.parked = False
+        self._queue_beat(self.sim.timeout_at(next_beat))
+
+    @property
+    def is_crashed(self) -> bool:
+        return self._crashed
 
     def set_flaky(
         self, drop_probability: float, rng: Optional[np.random.Generator]
@@ -126,6 +168,8 @@ class TaskTracker:
             raise ValueError("drop probability must be in [0, 1]")
         self.heartbeat_drop_probability = drop_probability
         self._flaky_rng = rng
+        if self.jobtracker is not None:
+            self.jobtracker.tracker_health_changed(self)
 
     # ------------------------------------------------------------------ slots
     @property
@@ -192,8 +236,9 @@ class TaskTracker:
         if self._crashed:
             return
         self._crashed = True
-        if self._heartbeat_process is not None:
-            self._heartbeat_process.interrupt("crash")
+        if self.jobtracker is not None:
+            self.jobtracker.tracker_health_changed(self)
+        self._next_beat = None
         for process in list(self._attempt_processes.values()):
             process.interrupt("crash")
 
@@ -211,9 +256,7 @@ class TaskTracker:
         assert self.jobtracker is not None
         self._crashed = False
         self.jobtracker.tracker_recovered(self)
-        self._heartbeat_process = self.sim.process(
-            self._heartbeat_loop(), name=f"tt-{self.machine.hostname}"
-        )
+        self._start_heartbeats()
 
     def _finish_attempt(self, attempt: TaskAttempt, succeeded: bool) -> None:
         """Release the slot and report the outcome."""
@@ -226,6 +269,8 @@ class TaskTracker:
         attempt.succeeded = succeeded
         self._attempt_processes.pop(attempt.attempt_id, None)
         assert self.jobtracker is not None
+        if self.parked:
+            self.jobtracker.slot_freed(self)
         if self.tracer.enabled:
             self.tracer.emit(
                 EventType.TASK_COMPLETED if succeeded else EventType.TASK_KILLED,

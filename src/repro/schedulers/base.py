@@ -81,6 +81,28 @@ class Scheduler(abc.ABC):
         pending queues.
         """
 
+    def may_assign(self) -> bool:
+        """Whether any heartbeat could be handed a task right now.
+
+        ``False`` promises that ``select_tasks`` is a pure no-op for every
+        tracker until new work appears (a submit, a requeue, or a job's
+        reduces crossing the slowstart gate).  A policy that overrides
+        this also promises the same for a tracker with no free slot until
+        one frees.  The JobTracker relies on both to let TaskTrackers
+        skip heartbeats that cannot assign.  The default ``True`` never
+        lets a tracker skip one: it is for policies with per-heartbeat
+        side effects (speculation, power ticks, RNG draws).
+        """
+        return True
+
+    def has_assignable_work(self) -> bool:
+        """Whether any active job has a pending map or a schedulable reduce."""
+        slowstart = self.jt.config.reduce_slowstart
+        return any(
+            job.pending_map_count or job.reduces_schedulable(slowstart)
+            for job in self.jt.active_jobs
+        )
+
     # ----------------------------------------------------------- observability
     def trace_scheduler_event(self, **data: Any) -> None:
         """Emit a policy-specific annotation (``scheduler.event``).

@@ -92,6 +92,9 @@ class CapacityScheduler(Scheduler):
         return None
 
     # ------------------------------------------------------------ assignment
+    def may_assign(self) -> bool:
+        return self.has_assignable_work()
+
     def select_tasks(self, status: TrackerStatus) -> List[Task]:
         assignments: List[Task] = []
         map_slots, reduce_slots = self.jt.cluster.total_slots()

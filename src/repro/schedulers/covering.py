@@ -18,6 +18,7 @@ from typing import List, Optional, Set
 from ..energy.powermgmt import PowerManager, SleepPolicy, pick_covering_subset
 from ..hadoop.job import Task, TaskReport
 from ..hadoop.tasktracker import TrackerStatus
+from .base import Scheduler
 from .fair import FairScheduler
 
 __all__ = ["CoveringSubsetScheduler"]
@@ -27,6 +28,8 @@ class CoveringSubsetScheduler(FairScheduler):
     """Fair sharing restricted to awake machines, covering subset first."""
 
     name = "covering-subset"
+    # Every heartbeat ticks the power manager, work or not.
+    may_assign = Scheduler.may_assign
 
     def __init__(
         self,

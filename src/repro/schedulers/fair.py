@@ -43,6 +43,9 @@ class FairScheduler(Scheduler):
         return sorted(jobs, key=lambda job: (running_of(job) / share, job.job_id))
 
     # ------------------------------------------------------------ assignment
+    def may_assign(self) -> bool:
+        return self.has_assignable_work()
+
     def select_tasks(self, status: TrackerStatus) -> List[Task]:
         assignments: List[Task] = []
         machine_id = status.machine_id

@@ -23,6 +23,9 @@ class FifoScheduler(Scheduler):
 
     name = "fifo"
 
+    def may_assign(self) -> bool:
+        return self.has_assignable_work()
+
     def select_tasks(self, status: TrackerStatus) -> List[Task]:
         assignments: List[Task] = []
         machine_id = status.machine_id

@@ -19,6 +19,7 @@ from typing import List, Optional, Set
 
 from ..hadoop.job import Task, TaskReport, TaskState
 from ..hadoop.tasktracker import TrackerStatus
+from .base import Scheduler
 from .fair import FairScheduler
 
 __all__ = ["LateScheduler"]
@@ -28,6 +29,8 @@ class LateScheduler(FairScheduler):
     """Fair sharing plus LATE speculative re-execution of stragglers."""
 
     name = "late"
+    # Speculation can fill an idle slot with no pending work anywhere.
+    may_assign = Scheduler.may_assign
 
     def __init__(self, max_speculative_fraction: float = 0.1) -> None:
         super().__init__()

@@ -127,6 +127,28 @@ class Simulator:
         event._heap_seq = seq
         return event
 
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """Return an event that succeeds at absolute simulation time ``when``.
+
+        The absolute-time twin of :meth:`timeout`, with the same inlined
+        push: a caller that accumulated ``when`` itself (a parked
+        TaskTracker replaying its heartbeat phase chain) fires on exactly
+        that float, with no ``now + (when - now)`` round trip.
+        """
+        if when < self._now:
+            raise ValueError(f"timeout_at({when}) is in the past (now={self._now})")
+        event = _new_event(Event)
+        event.sim = self
+        event._callbacks = NO_CALLBACKS
+        event._value = value
+        event._exception = None
+        event._triggered = True
+        heap = self._heap
+        heap._seq = seq = heap._seq + 1
+        _heappush(self._hp_entries, (when, PRIORITY_NORMAL, seq, event))
+        event._heap_seq = seq
+        return event
+
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Spawn a new process from ``generator`` and schedule its first step."""
         return Process(self, generator, name=name)

@@ -4,7 +4,10 @@ Small, fast scenarios chosen to exercise every hot path the kernel
 optimization touched: all three paper schedulers (Fair, Tarazu, E-Ant)
 plus the remaining baselines, metered and unmetered runs, E-Ant config
 variants (deterministic selection, beta = 0), and fault plans that drive
-the churn paths (crash/recover, join, decommission, slowdown).
+the churn paths (crash/recover, join, decommission, slowdown).  The
+``*-idlegap-*`` scenarios leave the cluster idle for longer than
+``tracker_expiry`` between two jobs, where idle TaskTrackers park, and
+put a crash/recover, a flaky-heartbeat window or a join inside that gap.
 
 Each scenario completes in well under a second so the corpus stays
 tier-1 friendly; determinism, not scale, is what these runs probe.
@@ -133,6 +136,60 @@ def build_corpus() -> List[Tuple[str, ScenarioSpec]]:
                 seed=12,
                 open_loop=True,
                 horizon=150.0,
+            ),
+        ),
+    ]
+    # Idle-gap runs: the first job is done within ~65 s, the second arrives
+    # at 200 s, so the fleet idles well past the 30 s tracker expiry.
+    gap = _jobs(puma_job("wordcount", 0.5), puma_job("grep", 0.5, submit_time=200.0))
+    corpus += [
+        ("fifo-idlegap-seed13", ScenarioSpec(jobs=gap, scheduler="fifo", seed=13)),
+        ("fair-idlegap-seed14", ScenarioSpec(jobs=gap, scheduler="fair", seed=14)),
+        ("eant-idlegap-seed15", ScenarioSpec(jobs=gap, scheduler="e-ant", seed=15)),
+        (
+            "fair-idlegap-crash-seed16",
+            ScenarioSpec(
+                jobs=gap,
+                scheduler="fair",
+                seed=16,
+                faults=FaultPlan(
+                    events=(
+                        FaultEvent(time=90.0, kind="crash", machine_id=4),
+                        FaultEvent(time=160.0, kind="recover", machine_id=4),
+                    )
+                ),
+            ),
+        ),
+        (
+            # p = 0.9 over 130 s: long drop streaks expire the tracker
+            # while its daemon keeps heartbeating into the second job.
+            "eant-idlegap-flaky-seed17",
+            ScenarioSpec(
+                jobs=gap,
+                scheduler="e-ant",
+                seed=17,
+                faults=FaultPlan(
+                    events=(
+                        FaultEvent(
+                            time=100.0,
+                            kind="flaky_heartbeats",
+                            machine_id=6,
+                            drop_probability=0.9,
+                            duration=130.0,
+                        ),
+                    )
+                ),
+            ),
+        ),
+        (
+            "fifo-idlegap-join-seed20",
+            ScenarioSpec(
+                jobs=gap,
+                scheduler="fifo",
+                seed=20,
+                faults=FaultPlan(
+                    events=(FaultEvent(time=120.0, kind="join", model="T420"),)
+                ),
             ),
         ),
     ]

@@ -54,6 +54,34 @@ class TestClock:
         with pytest.raises(ValueError):
             sim.call_at(3.0, lambda: None)
 
+    def test_timeout_at_fires_at_exactly_when(self, sim):
+        # 0.1 + 0.2 != 0.3: an absolute time must not round-trip through
+        # a relative delay.
+        when = 0.1 + 0.2
+        fired = []
+
+        def proc():
+            yield sim.timeout(0.1)
+            value = yield sim.timeout_at(when, value="v")
+            fired.append((sim.now, value))
+
+        sim.process(proc())
+        sim.run()
+        assert fired == [(when, "v")]
+
+    def test_timeout_at_now_is_allowed(self, sim):
+        sim.timeout(2.0)
+        sim.run()
+        sim.timeout_at(2.0)
+        sim.run()
+        assert sim.now == 2.0
+
+    def test_timeout_at_past_rejected(self, sim):
+        sim.timeout(5.0)
+        sim.run()
+        with pytest.raises(ValueError, match="in the past"):
+            sim.timeout_at(4.999)
+
 
 class TestRunLoop:
     def test_stop_halts_loop(self, sim):
