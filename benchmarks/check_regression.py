@@ -18,8 +18,8 @@ Three gates run:
 * ``telemetry_overhead`` (from ``BENCH_telemetry.json``) — a paired
   telemetry-on vs telemetry-off run of the large-fleet scenario; the
   on/off wall-clock ratio must stay **below** the committed budget
-  (1.05x), bounding what the columnar sampler + phase profiler may cost
-  the hot paths.
+  (1.05x), bounding what the columnar sampler and its per-heartbeat
+  latency buffering may cost the hot paths.
 * ``serve_throughput`` (from ``BENCH_serve.json``) — the ``repro serve``
   daemon in a subprocess under the open-loop load generator; the
   achieved heartbeat rate must stay above ``min_achieved_fraction`` of
@@ -196,7 +196,7 @@ def _telemetry_gate(baseline: dict, reps: int) -> bool:
     if ratio > budget:
         print(
             f"FAIL: telemetry overhead {ratio:.3f}x exceeds the {budget:.2f}x "
-            "budget in BENCH_telemetry.json — the sampler/profiler hot paths "
+            "budget in BENCH_telemetry.json — the sampler's hot paths "
             "got more expensive."
         )
         return False

@@ -35,9 +35,8 @@ def test_telemetry_overhead_guard():
     """A fully-telemetered run must stay within 1.25x the bare wall-clock.
 
     Same paired method as :func:`test_tracing_overhead_guard`, but for the
-    columnar :class:`~repro.observability.TelemetrySink` + phase profiler
-    stack (``telemetry=True`` turns on both plus the per-heartbeat latency
-    buffering).  The committed fleet-scale budget is 1.05x on the
+    columnar :class:`~repro.observability.TelemetrySink` (``telemetry=True``
+    turns on the sampler plus the per-heartbeat latency buffering).  The committed fleet-scale budget is 1.05x on the
     1,000-node scenario (``BENCH_telemetry.json``, enforced by
     ``benchmarks/check_regression.py``); this pytest-tier guard runs a
     small scenario where fixed per-run costs weigh proportionally more,

@@ -51,11 +51,12 @@ Subcommands
     Replay a JSONL trace into the per-machine utilization/power sparkline
     report, offline — no re-simulation.  Also accepts telemetry exports
     (``.npz`` or JSON written by ``profile --out``) and renders the
-    fleet-sparkline/phase-table view instead.
+    fleet-sparkline/layer-table view instead.
 ``profile``
-    Run a job mix with the columnar telemetry layer + kernel phase
-    profiler attached and print the fleet time-series and phase table;
-    ``--out FILE.npz|.json`` exports the records for offline ``report``.
+    Run a job mix with the columnar telemetry layer attached under the
+    stdlib ``cProfile`` and print the fleet time-series and the host-time
+    table folded by ``repro`` layer; ``--out FILE.npz|.json`` exports
+    both records for offline ``report``.
 """
 
 from __future__ import annotations
@@ -324,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile",
         parents=[_scheduler_flags(), _jobs_flag()],
-        help="run with telemetry + kernel phase profiling",
+        help="run with telemetry under cProfile, host time by layer",
     )
     profile.set_defaults(handler=_cmd_profile, jobs=DEFAULT_JOB_TOKENS)
     profile.add_argument(
@@ -1158,6 +1159,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             read_telemetry_npz,
             telemetry_report,
         )
+        from .observability.profiler import PROFILE_TITLE
 
         reader = read_telemetry_npz if export_format == "npz" else read_telemetry_json
         try:
@@ -1169,7 +1171,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if telemetry is not None:
             print(telemetry_report(telemetry, profile))
         elif profile is not None:
-            print("kernel phase profile (host wall-clock):")
+            print(PROFILE_TITLE)
             print(profile_table(profile))
         return 0
 
@@ -1192,10 +1194,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .observability import (
+        profile_layers,
         telemetry_report,
         write_telemetry_json,
         write_telemetry_npz,
     )
+    from .observability.profiler import ProfilerBusyError
 
     jobs = parse_job_tokens(args.jobs)
     _positive_finite(args.interval, "--interval")
@@ -1210,15 +1214,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         interval=args.interval,
         out=args.out,
     )
-    result = run_scenario(
-        jobs,
-        scheduler=args.scheduler,
-        seed=args.seed,
-        telemetry=args.interval if args.interval is not None else True,
-    )
-    assert result.telemetry is not None and result.profiler is not None
+    try:
+        result, profile = profile_layers(
+            run_scenario,
+            jobs,
+            scheduler=args.scheduler,
+            seed=args.seed,
+            telemetry=args.interval if args.interval is not None else True,
+        )
+    except ProfilerBusyError as error:
+        raise cli_error(f"cannot profile: {error}") from None
+    assert result.telemetry is not None
     telemetry = result.telemetry.record()
-    profile = result.profiler.record()
     print(telemetry_report(telemetry, profile))
     if args.out:
         try:

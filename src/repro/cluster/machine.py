@@ -9,10 +9,8 @@ IO contention, and integrates its own energy consumption.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from ..observability.profiler import NULL_PROFILER, SAMPLE_STRIDE
 from .power import EnergyAccumulator, PowerModel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -123,11 +121,6 @@ class Machine:
     #: sim time this machine entered service (non-zero for mid-run joins);
     #: the anchor for average-utilization and energy windows
     commissioned_at: float = 0.0
-    #: phase-profiling hook (``"energy"`` leaf); the shared no-op default
-    #: costs one attribute check per energy-window close
-    profiler: Any = field(default=NULL_PROFILER, repr=False, compare=False)
-    #: countdown to this machine's next stride-sampled energy-window timing
-    _profile_tick: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.hostname:
@@ -188,21 +181,6 @@ class Machine:
             # window is also zero-length here.)
             energy._utilization = util
             return
-        profiler = self.profiler
-        if profiler.enabled:
-            # Stride-sampled: only every SAMPLE_STRIDE-th window close pays
-            # the two clock reads, charged at stride weight — the clocks,
-            # not the accumulation, dominate at ~300k windows per run.
-            tick = self._profile_tick - 1
-            if tick < 0:
-                self._profile_tick = SAMPLE_STRIDE - 1
-                started = perf_counter()
-                self._util_seconds += util * (now - self._util_last_time)
-                self._util_last_time = now
-                energy.advance(now, util)
-                profiler.add("energy", (perf_counter() - started) * SAMPLE_STRIDE)
-                return
-            self._profile_tick = tick
         self._util_seconds += util * (now - self._util_last_time)
         self._util_last_time = now
         energy.advance(now, util)

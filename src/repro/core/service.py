@@ -49,7 +49,7 @@ from typing import (
 )
 
 from ..observability.metrics import Counter, MetricsRegistry
-from ..observability.profiler import NULL_PROFILER, SAMPLE_STRIDE
+from ..observability.telemetry import SAMPLE_STRIDE
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hadoop.job import Job, Task, TaskReport
@@ -369,12 +369,11 @@ class LocalSchedulerCore:
         #: so wire hosts can resolve reports back to task objects; entries
         #: are dropped when the task's report arrives.
         self._live: Dict[str, "Task"] = {}
-        # Telemetry/profiling hooks (see attach_telemetry); the defaults
-        # keep the select hot path at one attribute check each.
+        # Telemetry hook (see attach_telemetry); the default keeps the
+        # select hot path at one attribute check.
         self.telemetry = None
-        self.profiler = NULL_PROFILER
         #: countdown to the next stride-sampled ``select_tasks`` timing
-        #: (see ``repro.observability.profiler.SAMPLE_STRIDE``)
+        #: (see ``repro.observability.telemetry.SAMPLE_STRIDE``)
         self._select_tick = 0
         self._assignment_counters: Dict[tuple, Counter] = {}
         self._completion_counters: Dict[tuple, Counter] = {}
@@ -399,12 +398,9 @@ class LocalSchedulerCore:
         """
         self._tap = tap
 
-    def attach_telemetry(self, sink=None, profiler=None) -> None:
-        """Attach a telemetry sink and/or phase profiler to the select path."""
-        if sink is not None:
-            self.telemetry = sink
-        if profiler is not None:
-            self.profiler = profiler
+    def attach_telemetry(self, sink) -> None:
+        """Attach a telemetry sink to the select path."""
+        self.telemetry = sink
 
     # ------------------------------------------------------------- lifecycle
     def register_tracker(self, info: TrackerInfo) -> None:
@@ -432,29 +428,23 @@ class LocalSchedulerCore:
         reads its own clock through its binding.
         """
         self.heartbeats_handled += 1
-        profiler = self.profiler
         sink = self.telemetry
-        if profiler.enabled or sink is not None:
+        if sink is not None:
             # Stride-sampled timing: the two clock reads are the dominant
             # instrumentation cost at ~400k heartbeats per fleet-scale run,
-            # so only every SAMPLE_STRIDE-th select is timed, charged at
-            # stride weight (an unbiased estimate of the phase total).
-            # Batch sizes need no clock and are observed every heartbeat.
+            # so only every SAMPLE_STRIDE-th select is timed for the latency
+            # histogram.  Batch sizes need no clock and are observed every
+            # heartbeat.
             tick = self._select_tick - 1
             if tick < 0:
                 self._select_tick = SAMPLE_STRIDE - 1
                 started = perf_counter()
                 assignments = self.scheduler.select_tasks(status)
-                elapsed = perf_counter() - started
-                if profiler.enabled:
-                    profiler.add("select", elapsed * SAMPLE_STRIDE)
-                if sink is not None:
-                    sink.observe_heartbeat(elapsed, len(assignments))
+                sink.observe_heartbeat(perf_counter() - started, len(assignments))
             else:
                 self._select_tick = tick
                 assignments = self.scheduler.select_tasks(status)
-                if sink is not None:
-                    sink.observe_batch(len(assignments))
+                sink.observe_batch(len(assignments))
         else:
             assignments = self.scheduler.select_tasks(status)
         maps = reduces = 0

@@ -92,11 +92,12 @@ def run_scenario(
         :class:`~repro.observability.Tracer` collects events in memory.
     telemetry:
         ``True`` attaches the columnar
-        :class:`~repro.observability.TelemetrySink` + kernel
-        :class:`~repro.observability.PhaseProfiler`; a number overrides
+        :class:`~repro.observability.TelemetrySink`; a number overrides
         the sampling interval (simulated seconds); a
         :class:`~repro.observability.TelemetryConfig` sets everything.
-        Pure observation — does not change the simulated outcome.
+        Pure observation — does not change the simulated outcome.  For
+        host time per layer, wrap the call in
+        :func:`~repro.observability.profile_layers`.
     faults:
         Optional :class:`~repro.faults.FaultPlan` executed against the run
         (part of the spec identity, so faulted and fault-free runs never

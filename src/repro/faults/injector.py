@@ -18,7 +18,6 @@ another machine (the per-fault time-to-recover that lands in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..cluster import Cluster
@@ -26,7 +25,6 @@ from ..cluster.catalog import spec_by_name
 from ..hadoop.config import HadoopConfig
 from ..hadoop.tasktracker import TaskTracker
 from ..noise import NO_NOISE, NoiseModel
-from ..observability.profiler import NULL_PROFILER
 from ..observability.tracer import NULL_TRACER, EventType
 from ..simulation import RandomStreams, Simulator
 from .plan import FaultEvent, FaultKind, FaultPlan
@@ -73,9 +71,6 @@ class FaultInjector:
         are added as their events fire).
     tracer:
         Trace sink for ``fault.injected`` events.
-    profiler:
-        Phase-profiling hook; fault execution is charged to the
-        ``"faults"`` leaf (the no-op default costs one check per event).
     """
 
     def __init__(
@@ -89,7 +84,6 @@ class FaultInjector:
         trackers: Sequence[TaskTracker],
         noise: NoiseModel = NO_NOISE,
         tracer=NULL_TRACER,
-        profiler=NULL_PROFILER,
     ) -> None:
         self.plan = plan
         self.sim = sim
@@ -99,7 +93,6 @@ class FaultInjector:
         self.noise = noise
         self.streams = streams
         self.tracer = tracer
-        self.profiler = profiler
         self.rng = streams.stream("faults")
         self.trackers: Dict[int, TaskTracker] = {
             tracker.machine.machine_id: tracker for tracker in trackers
@@ -126,15 +119,6 @@ class FaultInjector:
             ) from None
 
     def _execute(self, event: FaultEvent) -> None:
-        profiler = self.profiler
-        if profiler.enabled:
-            started = perf_counter()
-            self._execute_inner(event)
-            profiler.add("faults", perf_counter() - started)
-        else:
-            self._execute_inner(event)
-
-    def _execute_inner(self, event: FaultEvent) -> None:
         disrupted = 0
         if event.kind is FaultKind.CRASH:
             tracker = self._tracker(event)
@@ -171,9 +155,6 @@ class FaultInjector:
     def _join(self, event: FaultEvent) -> None:
         spec = spec_by_name(event.model or "")
         machine = self.cluster.add_machine(spec)
-        # ``add_machine`` builds with the no-op default; joined machines
-        # must profile their energy windows like the original fleet.
-        machine.profiler = self.profiler
         tracker = TaskTracker(
             self.sim,
             machine,

@@ -175,30 +175,23 @@ class JobTracker:
             )
         )
 
-    def attach_telemetry(self, sink=None, profiler=None) -> None:
-        """Attach a :class:`~repro.observability.TelemetrySink` and/or a
-        :class:`~repro.observability.PhaseProfiler` to the heartbeat path.
+    def attach_telemetry(self, sink) -> None:
+        """Attach a :class:`~repro.observability.TelemetrySink` to the
+        heartbeat path.
 
-        With a sink attached every heartbeat's assignment batch size is
-        buffered for the sink's log-bucketed histograms, and one
-        heartbeat in every ``SAMPLE_STRIDE`` additionally has its
-        ``select_tasks`` wall-clock latency timed (the clock reads are
-        the dominant hook cost at fleet scale); with a profiler, the
-        sampled measurement is charged to the ``"select"`` phase at
-        stride weight.  Pure observation either way — no RNG is consumed
-        and no simulation event is scheduled.
+        Every heartbeat's assignment batch size is buffered for the
+        sink's log-bucketed histograms, and one heartbeat in every
+        ``SAMPLE_STRIDE`` additionally has its ``select_tasks``
+        wall-clock latency timed (the clock reads are the dominant hook
+        cost at fleet scale).  Pure observation — no RNG is consumed and
+        no simulation event is scheduled.
         """
-        self.core.attach_telemetry(sink, profiler)
+        self.core.attach_telemetry(sink)
 
     @property
     def telemetry(self):
         """The core's attached telemetry sink (None when detached)."""
         return self.core.telemetry
-
-    @property
-    def profiler(self):
-        """The core's attached phase profiler (the null profiler when off)."""
-        return self.core.profiler
 
     def expect_jobs(self, count: int) -> None:
         """Declare the total number of jobs this run will submit.

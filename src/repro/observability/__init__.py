@@ -16,9 +16,9 @@ choosing-your-instrument matrix, and examples):
   aggregates in NumPy ring buffers with per-machine-class rollups,
   ``O(classes x samples)`` memory at any fleet size; on a traced run it
   also emits the ``metrics.snapshot`` events ``repro report`` replays.
-* :mod:`.profiler` — wall-clock phase profiling of the kernel hot
-  sections (dispatch, selection, energy integration, fault injection)
-  into plain float slots.
+* :mod:`.profiler` — host time of a run per ``repro`` layer: the stdlib
+  ``cProfile`` folded by subpackage (:func:`profile_layers`); no hooks
+  in the simulator.
 * :mod:`.exporters` / :mod:`.report` — JSONL trace files (materialized or
   streamed), flamegraph-style text summaries, NPZ/JSON telemetry exports,
   and offline replay into sparkline reports (``repro trace`` /
@@ -35,14 +35,7 @@ from .exporters import (
     write_jsonl,
 )
 from .metrics import Counter, Histogram, MetricsRegistry
-from .profiler import (
-    NULL_PROFILER,
-    NullProfiler,
-    PhaseProfiler,
-    PhaseStat,
-    ProfileRecord,
-    profile_table,
-)
+from .profiler import PhaseStat, ProfileRecord, profile_layers, profile_table
 from .telemetry import (
     TelemetryConfig,
     TelemetryRecord,
@@ -77,11 +70,9 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "PhaseProfiler",
-    "NullProfiler",
-    "NULL_PROFILER",
     "PhaseStat",
     "ProfileRecord",
+    "profile_layers",
     "profile_table",
     "TelemetryConfig",
     "TelemetrySink",

@@ -1,82 +1,88 @@
-"""Phase profiling for the hot kernel sections, with a zero-cost off switch.
+"""Host time of a run per ``repro`` layer, from the stdlib ``cProfile``.
 
-A :class:`PhaseProfiler` accumulates wall-clock time spent inside named
-kernel phases — event dispatch, the vectorized Eq. 3-8 selection pass,
-energy integration, fault injection, telemetry sampling — into plain float
-slots (dicts of ``str -> float``): no object is allocated per measurement,
-so profiling a 100k-task run costs two ``perf_counter`` calls per timed
-section and nothing else.
+:func:`profile_layers` runs a callable under :class:`cProfile.Profile`
+and folds the ``pstats`` table into one row per ``repro`` subpackage
+(``simulation``, ``hadoop``, ``core``, ``schedulers``, ``cluster``,
+``energy``, ``metrics``, ``observability``, ``faults``, ...).  Each row
+holds the *self* seconds spent in that layer and the primitive call
+count of its Python functions:
 
-Two instrumentation styles, freely mixable:
+* a function inside ``repro`` is charged to its own subpackage;
+* a function outside ``repro`` (a builtin, the stdlib, NumPy) is charged
+  to the layer of each direct caller, using that call edge's self time —
+  ``heapq.heappop`` called from the event loop counts as ``simulation``;
+* whatever is left — time under callers outside ``repro`` — goes to the
+  ``other`` row.
 
-* :meth:`PhaseProfiler.begin` / :meth:`PhaseProfiler.end` — a scoped
-  timer on an explicit stack.  Nesting is accounted the way flamegraphs
-  do it: a phase's *inclusive* time contains its children, its
-  *exclusive* time does not.
-* :meth:`PhaseProfiler.add` — charge an already-measured duration to a
-  phase as a leaf.  This is what the per-event hot paths use (energy
-  integration runs inside the dispatch loop, so a ``begin``/``end`` pair
-  per load change would double the instrumentation cost); the duration
-  is still subtracted from the enclosing stack phase's exclusive time.
+So the rows sum to the profile's total self time (``pstats`` ``total_tt``):
+every profiled second is attributed to exactly one row.  Inclusive time
+per layer is not reported because layers re-enter each other (the event
+loop calls Hadoop callbacks that call the core that schedules simulator
+events), so "time under a layer" has no single answer.
 
-Every call site guards with ``if profiler.enabled:`` against the shared
-:data:`NULL_PROFILER`, mirroring the tracer's off-switch pattern — with
-profiling off the instrumentation reduces to one attribute check.
+Nothing in the simulator is instrumented.  Profiling is pure
+observation — a profiled run digests bit-identically to a bare one —
+and costs nothing when it is not used.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, TypeVar
+
+if TYPE_CHECKING:  # pragma: no cover
+    import pstats
 
 __all__ = [
-    "PhaseProfiler",
-    "NullProfiler",
-    "NULL_PROFILER",
-    "SAMPLE_STRIDE",
+    "PROFILE_TITLE",
     "PhaseStat",
     "ProfileRecord",
+    "ProfilerBusyError",
+    "profile_layers",
     "profile_table",
 ]
 
-#: Stride for sampled leaf phases.  The per-event hot paths (``select``
-#: per heartbeat, ``energy`` per utilization window) fire hundreds of
-#: thousands of times in a fleet-scale run, and the two ``perf_counter``
-#: reads around each section are the dominant instrumentation cost — not
-#: the accumulation itself.  So those sites time only one event in every
-#: ``SAMPLE_STRIDE`` and charge it at ``SAMPLE_STRIDE`` times its
-#: measured duration: an unbiased estimator of the phase total (events of
-#: a kind are statistically alike within a run), at an eighth of the
-#: clock-call cost.  ``PhaseStat.calls`` counts *timed* sections for
-#: these phases; scoped ``begin``/``end`` phases are never sampled.
-SAMPLE_STRIDE = 8
+#: Heading ``repro profile`` and ``repro report`` print above the table.
+PROFILE_TITLE = "host-time profile by layer (cProfile self seconds):"
+
+#: Row for time with no direct ``repro`` caller (interpreter, stdlib).
+OTHER = "other"
+
+#: ``.../repro/`` as this interpreter spells code filenames of the package.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(__file__)) + os.sep
+
+T = TypeVar("T")
+
+
+class ProfilerBusyError(ValueError):
+    """Another profiler is already active (Python 3.12+ allows one)."""
 
 
 @dataclass(frozen=True)
 class PhaseStat:
-    """Accumulated timing of one phase."""
+    """Self time and primitive calls of one layer."""
 
     name: str
-    inclusive_seconds: float
-    exclusive_seconds: float
+    self_seconds: float
     calls: int
 
 
 @dataclass(frozen=True)
 class ProfileRecord:
-    """Portable phase-timing section of a :class:`~repro.runner.RunRecord`.
+    """Portable host-time section of a telemetry export.
 
-    Host wall-clock timing, not simulation outcome — excluded from
-    :func:`~repro.runner.record.record_digest` like ``wall_seconds``.
+    Host timing, not simulation outcome: it travels next to the
+    :class:`~repro.observability.telemetry.TelemetryRecord` in
+    ``repro profile --out`` exports, never inside a run record.
     """
 
     phases: Tuple[PhaseStat, ...]
 
     @property
     def total_seconds(self) -> float:
-        """Sum of exclusive times — wall-clock covered by any phase."""
-        return sum(stat.exclusive_seconds for stat in self.phases)
+        """Sum of the rows' self time — all profiled host time."""
+        return sum(stat.self_seconds for stat in self.phases)
 
     def stat(self, name: str) -> PhaseStat:
         for stat in self.phases:
@@ -87,24 +93,26 @@ class ProfileRecord:
     def to_json_dict(self) -> Dict[str, Any]:
         return {
             "phases": [
-                {
-                    "name": s.name,
-                    "inclusive_seconds": s.inclusive_seconds,
-                    "exclusive_seconds": s.exclusive_seconds,
-                    "calls": s.calls,
-                }
+                {"name": s.name, "self_seconds": s.self_seconds, "calls": s.calls}
                 for s in self.phases
             ]
         }
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "ProfileRecord":
+        """Inverse of :meth:`to_json_dict`.
+
+        Exports written by the earlier phase profiler carry
+        ``exclusive_seconds`` instead of ``self_seconds``; it means the
+        same thing and is read as such.
+        """
         return cls(
             phases=tuple(
                 PhaseStat(
                     name=str(p["name"]),
-                    inclusive_seconds=float(p["inclusive_seconds"]),
-                    exclusive_seconds=float(p["exclusive_seconds"]),
+                    self_seconds=float(
+                        p["self_seconds"] if "self_seconds" in p else p["exclusive_seconds"]
+                    ),
                     calls=int(p["calls"]),
                 )
                 for p in data["phases"]
@@ -112,145 +120,97 @@ class ProfileRecord:
         )
 
 
-class PhaseProfiler:
-    """Accumulates per-phase inclusive/exclusive wall time into float slots."""
-
-    enabled = True
-
-    __slots__ = ("_stack", "_slots")
-
-    def __init__(self) -> None:
-        #: open sections: [phase name, start perf_counter, child seconds]
-        self._stack: List[list] = []
-        #: phase -> [inclusive seconds, exclusive seconds, calls]; a single
-        #: dict lookup per accumulation keeps the hot ``add`` path cheap
-        #: (it runs once per heartbeat and per energy-window advance).
-        self._slots: Dict[str, list] = {}
-
-    # ----------------------------------------------------------- accumulation
-    def begin(self, phase: str) -> None:
-        """Open a scoped section of ``phase`` (pair with :meth:`end`)."""
-        self._stack.append([phase, perf_counter(), 0.0])
-
-    def end(self) -> None:
-        """Close the innermost open section and account its elapsed time."""
-        phase, start, child_seconds = self._stack.pop()
-        elapsed = perf_counter() - start
-        slot = self._slots.get(phase)
-        if slot is None:
-            slot = self._slots[phase] = [0.0, 0.0, 0]
-        slot[0] += elapsed
-        slot[1] += elapsed - child_seconds
-        slot[2] += 1
-        if self._stack:
-            self._stack[-1][2] += elapsed
-
-    def add(self, phase: str, seconds: float) -> None:
-        """Charge an externally measured duration to ``phase`` as a leaf.
-
-        The duration counts against the enclosing stack phase's exclusive
-        time exactly as a ``begin``/``end`` child would.
-        """
-        slot = self._slots.get(phase)
-        if slot is None:
-            slot = self._slots[phase] = [0.0, 0.0, 0]
-        slot[0] += seconds
-        slot[1] += seconds
-        slot[2] += 1
-        if self._stack:
-            self._stack[-1][2] += seconds
-
-    # ---------------------------------------------------------------- queries
-    @property
-    def phases(self) -> Tuple[str, ...]:
-        """Phase names in first-seen order."""
-        return tuple(self._slots)
-
-    def inclusive_seconds(self, phase: str) -> float:
-        slot = self._slots.get(phase)
-        return slot[0] if slot is not None else 0.0
-
-    def exclusive_seconds(self, phase: str) -> float:
-        slot = self._slots.get(phase)
-        return slot[1] if slot is not None else 0.0
-
-    def calls(self, phase: str) -> int:
-        slot = self._slots.get(phase)
-        return slot[2] if slot is not None else 0
-
-    def record(self) -> ProfileRecord:
-        """Freeze the accumulated timings into a portable record.
-
-        Phases are ordered by descending inclusive time, ties by name, so
-        rendered tables are stable across runs of the same workload.
-        """
-        if self._stack:  # pragma: no cover - defensive
-            raise RuntimeError(
-                f"profiler has {len(self._stack)} unclosed section(s): "
-                f"{[entry[0] for entry in self._stack]}"
-            )
-        stats = [
-            PhaseStat(
-                name=name,
-                inclusive_seconds=slot[0],
-                exclusive_seconds=slot[1],
-                calls=slot[2],
-            )
-            for name, slot in self._slots.items()
-        ]
-        stats.sort(key=lambda s: (-s.inclusive_seconds, s.name))
-        return ProfileRecord(phases=tuple(stats))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<PhaseProfiler phases={list(self._slots)}>"
+def _layer(filename: str) -> Optional[str]:
+    """The ``repro`` subpackage (or top-level module) ``filename`` is in."""
+    if not filename.startswith(_PACKAGE_DIR):
+        return None
+    head = filename[len(_PACKAGE_DIR):].split(os.sep, 1)[0]
+    name = head[:-3] if head.endswith(".py") else head
+    return "repro" if name in ("__init__", "__main__") else name
 
 
-class NullProfiler:
-    """The off switch: ``enabled`` is False and every method is a no-op."""
+def fold_layers(stats: pstats.Stats) -> ProfileRecord:
+    """Fold a ``pstats`` table into per-layer rows (see the module doc).
 
-    enabled = False
+    Rows are ordered by descending self time, ties by name, so tables of
+    the same workload line up across runs.
+    """
+    rows: Dict[str, List[float]] = {}  # layer -> [self seconds, calls]
 
-    def begin(self, phase: str) -> None:
-        """Discard."""
+    def charge(layer: str, seconds: float, calls: int = 0) -> None:
+        row = rows.setdefault(layer, [0.0, 0])
+        row[0] += seconds
+        row[1] += calls
 
-    def end(self) -> None:
-        """Discard."""
+    for (filename, _line, _name), entry in stats.stats.items():  # type: ignore[attr-defined]
+        primitive_calls, _calls, self_time, _cumulative, callers = entry
+        layer = _layer(filename)
+        if layer is not None:
+            charge(layer, self_time, primitive_calls)
+            continue
+        for (caller_file, _cl, _cn), edge in callers.items():
+            caller_layer = _layer(caller_file)
+            if caller_layer is not None:
+                # edge = (calls, primitive calls, self time, cumulative)
+                charge(caller_layer, edge[2])
+                self_time -= edge[2]
+        charge(OTHER, self_time)
+    stats_rows = [
+        PhaseStat(name=name, self_seconds=seconds, calls=int(calls))
+        for name, (seconds, calls) in rows.items()
+    ]
+    stats_rows.sort(key=lambda s: (-s.self_seconds, s.name))
+    return ProfileRecord(phases=tuple(stats_rows))
 
-    def add(self, phase: str, seconds: float) -> None:
-        """Discard."""
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<NullProfiler>"
+def profile_layers(
+    fn: Callable[..., T], *args: Any, **kwargs: Any
+) -> Tuple[T, ProfileRecord]:
+    """Run ``fn(*args, **kwargs)`` under ``cProfile``; fold its time by layer.
 
+    Returns ``fn``'s result and the per-layer :class:`ProfileRecord`.
+    Raises :class:`ProfilerBusyError` before ``fn`` runs when another
+    profiler is already active.  cProfile inflates CPU time 2-2.6x on
+    paper-scale runs, so read the rows as shares of the run, not as
+    bare-run seconds.
+    """
+    # Imported here, not at module load: every run imports this package,
+    # and only profiled runs need the profiler modules.
+    import cProfile
+    import pstats
 
-#: Shared no-op profiler every instrumented component defaults to.
-NULL_PROFILER = NullProfiler()
+    profiler = cProfile.Profile()
+    try:
+        profiler.enable()
+    except ValueError as error:
+        raise ProfilerBusyError(str(error)) from None
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        profiler.disable()
+    return result, fold_layers(pstats.Stats(profiler))
 
 
 def profile_table(record: ProfileRecord, width: int = 28) -> str:
     """Render a :class:`ProfileRecord` as an aligned text table.
 
-    Inclusive/exclusive seconds, call counts, and the exclusive share of
-    the covered total, with a proportional bar — the ``repro profile``
-    output.
+    Self seconds, call counts and each row's share of the total, with a
+    proportional bar — the ``repro profile`` output.
     """
     if not record.phases:
         return "no profiled phases"
     total = record.total_seconds
     name_width = max(5, max(len(s.name) for s in record.phases))
-    lines = [
-        f"{'phase':<{name_width}s} {'incl s':>9s} {'excl s':>9s} "
-        f"{'calls':>9s} {'excl %':>7s}"
-    ]
+    lines = [f"{'layer':<{name_width}s} {'self s':>9s} {'calls':>10s} {'share':>7s}"]
     for stat in record.phases:
-        share = stat.exclusive_seconds / total if total > 0 else 0.0
+        share = stat.self_seconds / total if total > 0 else 0.0
         bar = "#" * max(0, min(width, round(share * width)))
         lines.append(
-            f"{stat.name:<{name_width}s} {stat.inclusive_seconds:9.3f} "
-            f"{stat.exclusive_seconds:9.3f} {stat.calls:9d} {share:7.1%} {bar}"
+            f"{stat.name:<{name_width}s} {stat.self_seconds:9.3f} "
+            f"{stat.calls:10d} {share:7.1%} {bar}"
         )
     lines.append(
-        f"{'total':<{name_width}s} {'':>9s} {total:9.3f} "
-        f"{sum(s.calls for s in record.phases):9d} {'100.0%':>7s}"
+        f"{'total':<{name_width}s} {total:9.3f} "
+        f"{sum(s.calls for s in record.phases):10d} {'100.0%':>7s}"
     )
     return "\n".join(lines)

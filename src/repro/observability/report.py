@@ -16,7 +16,7 @@ import numpy as np
 
 from ..metrics.timeline import MachineSeries, render_series_report, sparkline
 from .exporters import flame_summary, trace_summary
-from .profiler import ProfileRecord, profile_table
+from .profiler import PROFILE_TITLE, ProfileRecord, profile_table
 from .telemetry import TelemetryRecord
 from .tracer import EventType, TraceEvent
 
@@ -214,7 +214,7 @@ def telemetry_report(
         sections.extend(_histogram_lines(name, payload))
     if profile is not None:
         sections.append("")
-        sections.append("kernel phase profile (host wall-clock):")
+        sections.append(PROFILE_TITLE)
         sections.append(profile_table(profile))
     return "\n".join(sections)
 

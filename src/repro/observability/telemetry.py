@@ -20,8 +20,8 @@ Per sample the sink records:
   E-Ant scheduler (NaN columns for baseline schedulers);
 * log-bucketed histograms of assignment latency (wall-clock of
   ``select_tasks``, stride-sampled — one heartbeat in every
-  :data:`~repro.observability.profiler.SAMPLE_STRIDE` is timed, because
-  the clock reads are the dominant hook cost at ~400k heartbeats) and
+  :data:`SAMPLE_STRIDE` is timed, because the clock reads are the
+  dominant hook cost at ~400k heartbeats) and
   heartbeat batch size (every heartbeat; counting needs no clock),
   drained from the JobTracker's per-heartbeat buffers via
   :meth:`~repro.observability.metrics.Histogram.observe_many`.
@@ -47,15 +47,16 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
     Generator,
+    Iterator,
     List,
     Optional,
     Tuple,
@@ -65,7 +66,7 @@ from typing import (
 import numpy as np
 
 from .metrics import Histogram, MetricsRegistry
-from .profiler import NULL_PROFILER, ProfileRecord
+from .profiler import ProfileRecord
 from .tracer import NULL_TRACER, EventType
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -117,6 +118,13 @@ LATENCY_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, float("inf"))
 #: Power-of-two upper bounds for the heartbeat-batch-size histogram.
 BATCH_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, float("inf"))
 
+#: Only one heartbeat in every ``SAMPLE_STRIDE`` has its ``select_tasks``
+#: latency timed: at ~400k heartbeats per fleet-scale run the two
+#: ``perf_counter`` reads around each section are the dominant hook cost,
+#: not the histogram bookkeeping.  Heartbeats of a run are statistically
+#: alike, so the sampled latencies keep the histogram's shape.
+SAMPLE_STRIDE = 8
+
 #: JSON export schema marker (the CLI uses it to tell an export from a trace).
 EXPORT_KIND = "repro.telemetry-export"
 EXPORT_VERSION = 1
@@ -135,14 +143,10 @@ class TelemetryConfig:
         Ring-buffer capacity.  Columns grow by doubling up to this cap;
         beyond it the oldest samples are overwritten and
         ``dropped_samples`` counts them.
-    profile:
-        Also attach a :class:`~repro.observability.profiler.PhaseProfiler`
-        to the kernel hot sections (dispatch/select/energy/faults).
     """
 
     interval: Optional[float] = None
     max_samples: int = 8192
-    profile: bool = True
 
     def __post_init__(self) -> None:
         if self.interval is not None and not (self.interval > 0):
@@ -351,9 +355,6 @@ class TelemetrySink:
         Sampling period in simulated seconds.
     max_samples:
         Ring capacity (see :class:`TelemetryConfig`).
-    profiler:
-        Where the sink charges its own sampling cost (phase
-        ``"telemetry"``), so the overhead it adds is itself visible.
     tracer:
         When enabled, every sample also emits a ``metrics.snapshot``
         trace event (per-machine ``machines`` list, the sample's
@@ -372,7 +373,6 @@ class TelemetrySink:
         scheduler: Any = None,
         interval: float = 300.0,
         max_samples: int = 8192,
-        profiler: Any = NULL_PROFILER,
         tracer: Any = NULL_TRACER,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -382,7 +382,6 @@ class TelemetrySink:
         self.jobtracker = jobtracker
         self.scheduler = scheduler
         self.interval = float(interval)
-        self.profiler = profiler
         self.tracer = tracer
         self.registry = registry
         self._row = {name: index for index, name in enumerate(COLUMNS)}
@@ -433,9 +432,9 @@ class TelemetrySink:
         """Buffer one timed heartbeat's assignment latency and batch size.
 
         Called by the JobTracker on stride-sampled heartbeats (one in
-        every :data:`~repro.observability.profiler.SAMPLE_STRIDE` — the
-        clock reads around ``select_tasks`` are the expensive part, so
-        only those heartbeats are timed); values sit in plain lists until
+        every :data:`SAMPLE_STRIDE` — the clock reads around
+        ``select_tasks`` are the expensive part, so only those
+        heartbeats are timed); values sit in plain lists until
         the next :meth:`sample` drains them into the histograms in one
         vectorized ``observe_many`` pass.
         """
@@ -466,9 +465,6 @@ class TelemetrySink:
         non-mutating ``projected_joules`` projection and no RNG stream is
         touched, so a traced run stays bit-identical to an untraced one.
         """
-        profiler = self.profiler
-        started = perf_counter() if profiler.enabled else 0.0
-
         jobtracker = self.jobtracker
         trackers = jobtracker.trackers if jobtracker is not None else {}
         # Register unseen machine classes *before* taking scratch views:
@@ -593,9 +589,6 @@ class TelemetrySink:
                 metrics=self.registry.snapshot() if self.registry is not None else {},
             )
 
-        if profiler.enabled:
-            profiler.add("telemetry", perf_counter() - started)
-
     # ----------------------------------------------------------------- export
     @property
     def samples(self) -> int:
@@ -685,8 +678,12 @@ def write_telemetry_npz(
 def read_telemetry_npz(
     path: Union[str, Path],
 ) -> Tuple[Optional[TelemetryRecord], Optional[ProfileRecord]]:
-    """Load an archive written by :func:`write_telemetry_npz`."""
-    with np.load(path) as archive:
+    """Load an archive written by :func:`write_telemetry_npz`.
+
+    Raises ``ValueError`` when the archive is not an export or a section
+    has the wrong shape.
+    """
+    with np.load(path) as archive, _export_shape(path):
         meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
         if meta.get("kind") != EXPORT_KIND:
             raise ValueError(f"{path}: not a telemetry export")
@@ -744,18 +741,36 @@ def write_telemetry_json(
 def read_telemetry_json(
     path: Union[str, Path],
 ) -> Tuple[Optional[TelemetryRecord], Optional[ProfileRecord]]:
-    """Load a document written by :func:`write_telemetry_json`."""
+    """Load a document written by :func:`write_telemetry_json`.
+
+    Raises ``ValueError`` when the document is not an export or a section
+    has the wrong shape.
+    """
     document = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(document, dict) or document.get("kind") != EXPORT_KIND:
         raise ValueError(f"{path}: not a telemetry export")
-    telemetry = (
-        TelemetryRecord.from_json_dict(document["telemetry"])
-        if "telemetry" in document
-        else None
-    )
-    profile = (
-        ProfileRecord.from_json_dict(document["profile"])
-        if "profile" in document
-        else None
-    )
+    with _export_shape(path):
+        telemetry = (
+            TelemetryRecord.from_json_dict(document["telemetry"])
+            if "telemetry" in document
+            else None
+        )
+        profile = (
+            ProfileRecord.from_json_dict(document["profile"])
+            if "profile" in document
+            else None
+        )
     return telemetry, profile
+
+
+@contextmanager
+def _export_shape(path: Union[str, Path]) -> Iterator[None]:
+    """Report a wrong-shaped export section (a ``null`` where a mapping
+    belongs, a missing key) as ``ValueError``, the readers' one error."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError) as error:
+        raise ValueError(
+            f"{path}: malformed telemetry export "
+            f"({type(error).__name__}: {error})"
+        ) from None

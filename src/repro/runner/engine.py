@@ -29,11 +29,9 @@ from ..faults import FaultInjector
 from ..hadoop import BlockPlacer, JobTracker, TaskTracker
 from ..metrics import MetricsCollector, RunMetrics, build_job_results
 from ..observability import (
-    NULL_PROFILER,
     NULL_TRACER,
     EventType,
     MetricsRegistry,
-    PhaseProfiler,
     TelemetryConfig,
     TelemetrySink,
     Tracer,
@@ -101,7 +99,6 @@ class ScenarioResult:
     registry: Optional[MetricsRegistry] = None
     injector: Optional[FaultInjector] = None
     telemetry: Optional[TelemetrySink] = None
-    profiler: Optional[PhaseProfiler] = None
     #: Open-loop admission/backlog accounting (None on closed-loop runs)
     backlog: Optional[BacklogRecord] = None
 
@@ -142,13 +139,13 @@ def execute_spec(
         ``None``/``False`` (default) runs without the columnar telemetry
         layer.  ``True`` attaches a
         :class:`~repro.observability.TelemetrySink` sampling fleet-wide
-        aggregates once per control interval plus a
-        :class:`~repro.observability.PhaseProfiler` timing the kernel hot
-        sections; a number overrides the sampling interval (simulated
-        seconds); a :class:`~repro.observability.TelemetryConfig` sets
-        everything explicitly.  Like tracing, telemetry is pure
-        observation — it consumes no RNG and the run's digest is
-        bit-identical with it on, off, or at any interval.
+        aggregates once per control interval; a number overrides the
+        sampling interval (simulated seconds); a
+        :class:`~repro.observability.TelemetryConfig` sets everything
+        explicitly.  Like tracing, telemetry is pure observation — it
+        consumes no RNG and the run's digest is bit-identical with it
+        on, off, or at any interval.  Host time is not measured here:
+        wrap the call in :func:`~repro.observability.profile_layers`.
     placements:
         Optional per-job replica overrides: index in the submitted job
         list -> replica host tuples (locality experiments).
@@ -195,12 +192,6 @@ def execute_spec(
     # energy through non-mutating projections, and schedules only its own
     # digest-neutral timeout events.
     telemetry_config = TelemetryConfig.coerce(telemetry)
-    profiler: Optional[PhaseProfiler] = None
-    if telemetry_config is not None and telemetry_config.profile:
-        profiler = PhaseProfiler()
-        sim.profiler = profiler
-        for machine in cluster:
-            machine.profiler = profiler
 
     jobtracker = JobTracker(
         sim,
@@ -242,9 +233,8 @@ def execute_spec(
                 else config.control_interval
             ),
             max_samples=telemetry_config.max_samples,
-            profiler=profiler if profiler is not None else NULL_PROFILER,
         )
-        jobtracker.attach_telemetry(sink, profiler)
+        jobtracker.attach_telemetry(sink)
         sink.attach(sim)
 
     injector: Optional[FaultInjector] = None
@@ -259,7 +249,6 @@ def execute_spec(
             trackers=trackers,
             noise=spec.noise,
             tracer=tracer if tracer is not None else NULL_TRACER,
-            profiler=profiler if profiler is not None else NULL_PROFILER,
         )
         injector.attach()
 
@@ -402,6 +391,5 @@ def execute_spec(
         registry=registry,
         injector=injector,
         telemetry=sink,
-        profiler=profiler,
         backlog=snapshot.get("backlog"),  # type: ignore[arg-type]
     )

@@ -28,7 +28,6 @@ from ..core import EAntScheduler
 from ..energy.meter import MeterReading
 from ..faults import FaultRecovery
 from ..metrics import RunMetrics
-from ..observability.profiler import ProfileRecord
 from ..observability.telemetry import TelemetryRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -120,21 +119,22 @@ def record_digest(record: "RunRecord", precision: Optional[int] = None) -> str:
     first, so the digest tolerates sub-ulp accumulation differences while
     still pinning structure and every non-float value exactly.
     ``wall_seconds`` is host timing, not simulation outcome, so it is
-    excluded either way — as are the ``telemetry`` and ``profile``
-    sections, which hold host wall-clock measurements and observational
-    time-series whose sample count depends on the sampling interval.
-    Dropping them keeps the digest payload byte-identical to records
-    produced before telemetry existed, so frozen golden digests survive.
+    excluded either way — as is the ``telemetry`` section, an
+    observational time-series whose sample count depends on the sampling
+    interval.  Dropping it keeps the digest payload byte-identical to
+    records produced before telemetry existed, so frozen golden digests
+    survive.  The projection walks declared fields only, so a record
+    unpickled from an older spool that still carries a since-removed
+    attribute (``profile``) digests as it always did.
     """
     stripped = record
-    if getattr(record, "telemetry", None) is not None or getattr(record, "profile", None) is not None:
-        # Null the sections *before* projecting: ndarray columns are not
+    if getattr(record, "telemetry", None) is not None:
+        # Null the section *before* projecting: ndarray columns are not
         # digestable, and they must not be.
-        stripped = dataclasses.replace(record, telemetry=None, profile=None)
+        stripped = dataclasses.replace(record, telemetry=None)
     data = _digestable(stripped, precision)
     data.pop("wall_seconds", None)
     data.pop("telemetry", None)
-    data.pop("profile", None)
     if data.get("backlog") is None:
         # Key absent when empty: closed-loop records keep the digest
         # payload they had before open-loop mode existed.
@@ -240,8 +240,6 @@ class RunRecord:
     #: Columnar fleet time-series (runs executed with ``telemetry=``);
     #: excluded from digests — observational, interval-dependent shape
     telemetry: Optional[TelemetryRecord] = None
-    #: Kernel phase-profile (host wall-clock); excluded from digests
-    profile: Optional[ProfileRecord] = None
     #: Open-loop backlog/admission accounting (None on closed-loop runs;
     #: dropped from the digest payload when absent so pre-existing golden
     #: digests survive)
@@ -290,9 +288,6 @@ def build_record(spec: "ScenarioSpec", result: "ScenarioResult", wall_seconds: f
     telemetry: Optional[TelemetryRecord] = None
     if result.telemetry is not None:
         telemetry = result.telemetry.record()
-    profile: Optional[ProfileRecord] = None
-    if result.profiler is not None:
-        profile = result.profiler.record()
 
     return RunRecord(
         spec_hash=spec.spec_hash(),
@@ -303,7 +298,6 @@ def build_record(spec: "ScenarioSpec", result: "ScenarioResult", wall_seconds: f
         phase_breakdown_by_job=breakdowns,
         faults=recoveries,
         telemetry=telemetry,
-        profile=profile,
         backlog=result.backlog,
         wall_seconds=wall_seconds,
     )

@@ -383,7 +383,6 @@ def merge_spools(
                     record,
                     wall_seconds=0.0,
                     telemetry=None,
-                    profile=None,
                 )
                 handle.write(encode_line(spec_hash, record, digest) + "\n")
     return entries

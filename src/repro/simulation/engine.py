@@ -26,7 +26,6 @@ from __future__ import annotations
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from ..observability.profiler import NULL_PROFILER
 from ..observability.tracer import NULL_TRACER, EventType
 from .events import NO_CALLBACKS, AllOf, AnyOf, Event, SimulationError
 from .heap import EventHeap
@@ -68,7 +67,6 @@ class Simulator:
         "_running",
         "_stopped",
         "tracer",
-        "profiler",
     )
 
     def __init__(self) -> None:
@@ -84,10 +82,6 @@ class Simulator:
         #: Observation hook; defaults to the no-op tracer (``enabled`` False),
         #: so untraced runs pay one attribute check per ``run()`` call only.
         self.tracer = NULL_TRACER
-        #: Phase-profiling hook; the no-op default costs one attribute check
-        #: per ``run()`` call (never per event — the "dispatch" phase wraps
-        #: the whole drain loop).
-        self.profiler = NULL_PROFILER
 
     # ------------------------------------------------------------------ clock
     @property
@@ -254,9 +248,6 @@ class Simulator:
         heappop = _heappop
         dispatched = 0
         last_event_time = self._now
-        profiler = self.profiler
-        if profiler.enabled:
-            profiler.begin("dispatch")
         try:
             if until is not None:
                 if until < self._now:
@@ -319,8 +310,6 @@ class Simulator:
         finally:
             self._dispatched += dispatched
             self._running = False
-            if profiler.enabled:
-                profiler.end()
             if self.tracer.enabled:
                 # Timestamped at the last dispatched event, not the (possibly
                 # far-future) `until` cap the clock parks at afterwards.

@@ -1,26 +1,26 @@
-"""Differential proof: telemetry is pure observation.
+"""Differential proof: telemetry and profiling are pure observation.
 
-Every scenario here is executed with telemetry off, on, and at several
-sampling intervals; the :func:`~repro.runner.record.record_digest` values
-must match bit-for-bit.  The digest covers every float of the portable
-record via ``float.hex()`` projections (the telemetry/profile sections
-are excluded by contract), so a match means the instrumented simulation
-made exactly the same decisions as the bare one: no RNG consumed, no
-energy-window mutation, no event-ordering perturbation from the sampling
-process.
+Every scenario here is executed with telemetry off, on, at several
+sampling intervals, and under :func:`~repro.observability.profile_layers`;
+the :func:`~repro.runner.record.record_digest` values must match
+bit-for-bit.  The digest covers every float of the portable record via
+``float.hex()`` projections (the telemetry section is excluded by
+contract), so a match means the instrumented simulation made exactly the
+same decisions as the bare one: no RNG consumed, no energy-window
+mutation, no event-ordering perturbation from the sampling process.
 """
 
 import pytest
 
-from repro.observability import TelemetryConfig
+from repro.observability import TelemetryConfig, profile_layers
 from repro.runner.engine import execute_spec
 from repro.runner.record import build_record, record_digest
 
 from .corpus import build_corpus
 
 #: A cross-section of the differential corpus: the three paper schedulers
-#: plus a faulted run (churn exercises the injector's profiler hook and
-#: the per-class rollup growth on joins).
+#: plus a faulted run (churn exercises the injector's join path and the
+#: per-class rollup growth on joins).
 _FULL_CORPUS = dict(build_corpus())
 _SUBSET_NAMES = (
     "eant-trio-seed0",
@@ -43,8 +43,20 @@ def test_digest_identical_with_telemetry_on_off(name, spec):
     bare = _digest(spec)
     instrumented = _digest(spec, telemetry=True)
     assert bare == instrumented, (
-        f"{name}: telemetry=True changed the run's digest — the sink or "
-        "profiler perturbed simulation state"
+        f"{name}: telemetry=True changed the run's digest — the sink "
+        "perturbed simulation state"
+    )
+
+
+@pytest.mark.parametrize(
+    "name,spec", CORPUS_SUBSET, ids=[name for name, _ in CORPUS_SUBSET]
+)
+def test_digest_identical_under_profile_layers(name, spec):
+    bare = _digest(spec)
+    profiled, profile = profile_layers(_digest, spec, telemetry=True)
+    assert profile.total_seconds > 0.0
+    assert bare == profiled, (
+        f"{name}: running under cProfile changed the run's digest"
     )
 
 

@@ -1,8 +1,16 @@
 """CLI tests."""
 
+import cProfile
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.observability.profiler import PROFILE_TITLE
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 class TestParser:
@@ -296,8 +304,18 @@ class TestProfileCommand:
                      "--seed", "1", "--interval", "20"]) == 0
         out = capsys.readouterr().out
         assert "telemetry:" in out
-        assert "kernel phase profile" in out
-        assert "dispatch" in out
+        assert PROFILE_TITLE in out
+        table = out.split(PROFILE_TITLE + "\n", 1)[1].splitlines()
+        rows = {line.split()[0]: line.split() for line in table[1:]}
+        assert {"simulation", "hadoop", "core"} <= set(rows)
+        for layer in ("simulation", "hadoop", "core"):
+            assert int(rows[layer][2]) > 0, layer
+        # The per-layer self seconds add up to the printed total (each
+        # printed value is rounded to the millisecond).
+        layers = [row for name, row in rows.items() if name != "total"]
+        printed = sum(float(row[1]) for row in layers)
+        assert printed == pytest.approx(float(rows["total"][1]),
+                                        abs=0.0005 * (len(layers) + 1))
 
     def test_exports_feed_report(self, capsys, tmp_path):
         npz = tmp_path / "run.npz"
@@ -311,7 +329,57 @@ class TestProfileCommand:
         for path in (npz, as_json):
             assert main(["report", str(path)]) == 0
             out = capsys.readouterr().out
-            assert "telemetry:" in out and "kernel phase profile" in out
+            assert "telemetry:" in out and PROFILE_TITLE in out
+
+    def test_report_renders_export_from_phase_profiler(self, capsys):
+        # Written by `repro profile --jobs grep:1 --seed 1 --out ...` before
+        # the cProfile fold replaced the phase profiler: its rows carry
+        # inclusive/exclusive seconds, read as self seconds now.
+        assert main(["report", str(FIXTURES / "telemetry_export_pre_cprofile.json")]) == 0
+        out = capsys.readouterr().out
+        assert "telemetry: 1 samples every 300s" in out
+        table = out.split(PROFILE_TITLE + "\n", 1)[1].splitlines()
+        assert [line.split()[0] for line in table] == [
+            "layer", "dispatch", "select", "energy", "telemetry", "total",
+        ]
+        assert table[2].split()[1:3] == ["0.002", "3"]
+
+    @pytest.mark.parametrize("suffix", [".json", ".npz"])
+    @pytest.mark.parametrize(
+        "section",
+        ['"telemetry": null', '"profile": [1]', '"profile": {"phases": null}'],
+    )
+    def test_report_rejects_malformed_export(self, capsys, tmp_path, section, suffix):
+        document = '{"kind": "repro.telemetry-export", "version": 1, ' + section + "}"
+        path = tmp_path / ("bad" + suffix)
+        if suffix == ".json":
+            path.write_text(document)
+        else:  # the NPZ export keeps the same document under "meta"
+            np.savez(path, meta=np.frombuffer(document.encode(), dtype=np.uint8))
+        assert main(["report", str(path)]) == 2
+        assert "cannot read telemetry export" in capsys.readouterr().err
+
+    def test_active_profiler_exits_2(self, capsys, monkeypatch):
+        def busy(self):
+            raise ValueError("Another profiling tool is already active")
+
+        # Python 3.12+ raises this from cProfile.Profile.enable when a
+        # profiler is already running; older versions stack silently.
+        monkeypatch.setattr(cProfile.Profile, "enable", busy)
+        assert main(["profile", "--jobs", "grep:1"]) == 2
+        assert "already active" in capsys.readouterr().err
+
+    @pytest.mark.skipif(sys.version_info < (3, 12),
+                        reason="one active profiler per process from 3.12")
+    def test_nested_under_cprofile_exits_2(self, capsys):
+        outer = cProfile.Profile()
+        outer.enable()
+        try:
+            code = main(["profile", "--jobs", "grep:1"])
+        finally:
+            outer.disable()
+        assert code == 2
+        assert "cannot profile" in capsys.readouterr().err
 
     def test_rejects_unknown_export_extension(self, capsys, tmp_path):
         out_path = tmp_path / "run.txt"

@@ -11,6 +11,8 @@ import base64
 import hashlib
 import json
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -296,3 +298,36 @@ class TestAggregate:
         items = list(entries.items())
         order_seed.shuffle(items)
         assert aggregate_digest(dict(items)) == aggregate_digest(entries)
+
+
+class TestOlderRecordShape:
+    """Spool lines pickled before ``RunRecord.profile`` was removed."""
+
+    #: One fifo/seed-0 grep:0.5 line, written by
+    #: ``repro sweep --jobs grep:0.5 --seeds 0 --schedulers fifo --workers 1
+    #: --no-cache --spool ...`` while ``RunRecord`` still had ``profile``.
+    FIXTURE = Path(__file__).resolve().parent / "fixtures" / "spool_pre_cprofile.jsonl"
+    SPEC_HASH = "7d595d085860db1c08566cbfc4bf123719aed72324ad3868060d52fa1c1b7955"
+    DIGEST = "939322d1e4b3ae477b0d02ae4e56082dfced51b2491730495b07f56b36bdb5b1"
+
+    def test_resumes_with_unchanged_digest(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "old.jsonl"
+        shutil.copy(self.FIXTURE, path)
+        warnings = []
+        [(spec_hash, digest, record)] = list(ResultSpool(path).scan(warnings.append))
+        assert not warnings
+        # The removed field survives unpickling as a stale attribute that
+        # the digest projection (declared fields only) never reads.
+        assert "profile" in vars(record)
+        assert (spec_hash, digest) == (self.SPEC_HASH, self.DIGEST)
+        assert record_digest(record) == self.DIGEST
+        merged = merge_spools([path], out=tmp_path / "merged.jsonl")
+        assert merged == {self.SPEC_HASH: self.DIGEST}
+
+        assert main(["sweep", "--jobs", "grep:0.5", "--seeds", "0",
+                     "--schedulers", "fifo", "--workers", "1", "--no-cache",
+                     "--spool", str(path)]) == 0
+        assert "1 resumed, 0 cached, 0 executed" in capsys.readouterr().out
+        assert path.read_bytes() == self.FIXTURE.read_bytes()

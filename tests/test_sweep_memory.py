@@ -39,15 +39,21 @@ def spec_for(seed):
     )
 
 # One real run provides the template; every fake record is a fat clone of
-# it (a bulky per-job phase table), re-addressed to its own spec.
+# it (a bulky per-job phase table), re-addressed to its own spec.  The bulk
+# is in 20 long (~25 kB) job names rather than thousands of tiny entries:
+# the bytes a leak would retain stay above the floor below, while each
+# pickle and digest costs milliseconds instead of ~0.1 s.  The table is
+# built afresh per record, so a runner that kept records would keep bytes.
 template = spec_for(0).run_record()
-fat_phases = {f"job-{i}": {"map": float(i), "reduce": 2.0} for i in range(10_000)}
 
 def fat_worker(spec):
     return dataclasses.replace(
         template,
         spec_hash=spec.spec_hash(),
-        phase_breakdown_by_job=fat_phases,
+        phase_breakdown_by_job={
+            f"job-{i}-" + "x" * 25_000: {"map": float(i), "reduce": 2.0}
+            for i in range(20)
+        },
     )
 
 sweep_module._execute_record_worker = fat_worker

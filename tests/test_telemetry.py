@@ -1,15 +1,18 @@
-"""Tests for the fleet-scale telemetry layer and kernel phase profiler.
+"""Tests for the fleet-scale telemetry layer and the per-layer profile.
 
 Covers the columnar ring buffers (:class:`_ColumnStore` growth, wrap and
 drop accounting), :class:`TelemetrySink` sampling against a live run,
 per-class rollup consistency, the ``metrics.snapshot`` trace events a
-traced sink emits, NPZ/JSON export round-trips, the
-profiler's inclusive/exclusive nesting semantics, the vectorized
-``Histogram.observe_many``, and the tracer's bounded ``max_events``
-ring mode.
+traced sink emits, NPZ/JSON export round-trips, the cProfile fold of
+:func:`profile_layers` (rows sum to the profile total, builtins charged
+to their ``repro`` caller), the vectorized ``Histogram.observe_many``,
+and the tracer's bounded ``max_events`` ring mode.
 """
 
+import cProfile
 import math
+import pstats
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,12 +23,13 @@ from repro.experiments import run_scenario
 from repro.observability import (
     EventType,
     Histogram,
-    PhaseProfiler,
+    PhaseStat,
     ProfileRecord,
     TelemetryConfig,
     TelemetryRecord,
     TelemetrySink,
     Tracer,
+    profile_layers,
     profile_table,
     read_telemetry_json,
     read_telemetry_npz,
@@ -34,8 +38,13 @@ from repro.observability import (
     write_telemetry_json,
     write_telemetry_npz,
 )
-from repro.observability.profiler import SAMPLE_STRIDE
-from repro.observability.telemetry import CLASS_COLUMNS, COLUMNS, _ColumnStore
+from repro.observability.profiler import OTHER, PROFILE_TITLE, fold_layers
+from repro.observability.telemetry import (
+    CLASS_COLUMNS,
+    COLUMNS,
+    SAMPLE_STRIDE,
+    _ColumnStore,
+)
 from repro.workloads import puma_job
 
 
@@ -55,14 +64,14 @@ class TestTelemetryConfig:
     def test_coerce_on_defaults(self):
         config = TelemetryConfig.coerce(True)
         assert config == TelemetryConfig()
-        assert config.interval is None and config.profile
+        assert config.interval is None
 
     def test_coerce_number_is_interval(self):
         assert TelemetryConfig.coerce(45).interval == 45.0
         assert TelemetryConfig.coerce(12.5).interval == 12.5
 
     def test_coerce_passthrough_and_errors(self):
-        config = TelemetryConfig(interval=7.0, max_samples=16, profile=False)
+        config = TelemetryConfig(interval=7.0, max_samples=16)
         assert TelemetryConfig.coerce(config) is config
         with pytest.raises(TypeError):
             TelemetryConfig.coerce("yes")
@@ -108,8 +117,9 @@ class TestColumnStore:
 # ------------------------------------------------------------------ live sampling
 class TestTelemetrySinkLive:
     @pytest.fixture(scope="class")
-    def run(self):
-        return run_scenario(
+    def profiled(self):
+        return profile_layers(
+            run_scenario,
             _small_jobs(),
             scheduler="e-ant",
             seed=7,
@@ -117,6 +127,10 @@ class TestTelemetrySinkLive:
             meter_interval=15.0,
             telemetry=TelemetryConfig(interval=15.0),
         )
+
+    @pytest.fixture(scope="class")
+    def run(self, profiled):
+        return profiled[0]
 
     def test_columns_complete_and_aligned(self, run):
         record = run.telemetry.record()
@@ -157,24 +171,20 @@ class TestTelemetrySinkLive:
         assert latency["count"] == math.ceil(batch["count"] / SAMPLE_STRIDE)
         assert latency["min"] >= 0.0
 
-    def test_profiler_covers_kernel_phases(self, run):
-        profile = run.profiler.record()
-        names = {stat.name for stat in profile.phases}
-        assert {"dispatch", "select", "energy", "telemetry"} <= names
-        dispatch = profile.stat("dispatch")
-        assert dispatch.calls == 1
-        # Children (select/energy/telemetry run inside the dispatch loop)
-        # are subtracted from dispatch's exclusive share.
-        assert dispatch.exclusive_seconds <= dispatch.inclusive_seconds
-        for stat in profile.phases:
-            assert stat.inclusive_seconds >= 0.0
-            assert stat.calls > 0
+    def test_profiler_covers_kernel_phases(self, profiled):
+        _, profile = profiled
+        for layer in ("simulation", "hadoop", "core", "observability"):
+            stat = profile.stat(layer)
+            assert stat.calls > 0, layer
+            assert stat.self_seconds > 0.0, layer
+        assert all(stat.self_seconds >= 0.0 for stat in profile.phases)
 
     def test_run_record_carries_sections(self, run):
         from repro.runner.record import RunRecord
 
         fields = {f.name for f in RunRecord.__dataclass_fields__.values()}
-        assert {"telemetry", "profile"} <= fields
+        # Host time is not a run outcome: only telemetry rides along.
+        assert "telemetry" in fields and "profile" not in fields
 
 
 class TestRingWrapLive:
@@ -193,28 +203,19 @@ class TestRingWrapLive:
         # The retained window is the *latest* four samples, still ordered.
         assert np.all(np.diff(record.columns["time"]) > 0)
 
-    def test_profile_disabled_leaves_profiler_none(self):
-        result = run_scenario(
-            _small_jobs(),
-            scheduler="fair",
-            seed=1,
-            telemetry=TelemetryConfig(interval=60.0, profile=False),
-        )
-        assert result.profiler is None
-        assert result.telemetry is not None
-
 
 # --------------------------------------------------------------------- exporters
 class TestExportRoundTrips:
     @pytest.fixture(scope="class")
     def records(self):
-        result = run_scenario(
+        result, profile = profile_layers(
+            run_scenario,
             _small_jobs(),
             scheduler="e-ant",
             seed=5,
             telemetry=TelemetryConfig(interval=20.0),
         )
-        return result.telemetry.record(), result.profiler.record()
+        return result.telemetry.record(), profile
 
     def test_npz_round_trip(self, records, tmp_path):
         telemetry, profile = records
@@ -270,62 +271,62 @@ class TestExportRoundTrips:
         text = telemetry_report(telemetry, profile)
         assert "samples every" in text
         assert "per-class power" in text
-        assert "phase" in text
+        assert PROFILE_TITLE in text
 
 
 # ---------------------------------------------------------------------- profiler
-class TestPhaseProfiler:
-    def test_nested_inclusive_exclusive(self):
-        profiler = PhaseProfiler()
-        profiler.begin("outer")
-        profiler.begin("inner")
-        profiler.end()
-        profiler.end()
-        record = profiler.record()
-        outer, inner = record.stat("outer"), record.stat("inner")
-        assert outer.inclusive_seconds >= inner.inclusive_seconds
-        assert inner.inclusive_seconds == inner.exclusive_seconds
-        assert outer.exclusive_seconds == pytest.approx(
-            outer.inclusive_seconds - inner.inclusive_seconds
-        )
+class TestLayerFold:
+    def test_rows_sum_to_total_tt(self):
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            run_scenario(_small_jobs(), scheduler="fair", seed=1)
+        finally:
+            profiler.disable()
+        stats = pstats.Stats(profiler)
+        record = fold_layers(stats)
+        assert record.total_seconds == pytest.approx(stats.total_tt, rel=1e-9)
+        for layer in ("simulation", "hadoop", "core"):
+            assert record.stat(layer).calls > 0, layer
 
-    def test_add_charges_leaf_against_enclosing_phase(self):
-        profiler = PhaseProfiler()
-        profiler.begin("outer")
-        profiler.add("leaf", 0.125)
-        profiler.add("leaf", 0.125)
-        profiler.end()
-        leaf = profiler.record().stat("leaf")
-        assert leaf.inclusive_seconds == pytest.approx(0.25)
-        assert leaf.calls == 2
-        outer = profiler.record().stat("outer")
-        assert outer.exclusive_seconds == pytest.approx(
-            outer.inclusive_seconds - 0.25
-        )
+    def test_builtin_called_from_core_is_charged_to_core(self):
+        import repro.core.service as core_module
+        import repro.simulation.engine as simulation_module
 
-    def test_record_rejects_unclosed_sections(self):
-        profiler = PhaseProfiler()
-        profiler.begin("open")
-        with pytest.raises(RuntimeError, match="unclosed"):
-            profiler.record()
-
-    def test_record_sorted_by_inclusive_time(self):
-        profiler = PhaseProfiler()
-        profiler.add("small", 0.1)
-        profiler.add("big", 0.9)
-        record = profiler.record()
-        assert [s.name for s in record.phases] == ["big", "small"]
-        assert record.total_seconds == pytest.approx(1.0)
+        core = (core_module.__file__, 10, "select")
+        simulation = (simulation_module.__file__, 20, "run")
+        stdlib = ("heapq.py", 1, "helper")
+        builtin = ("~", 0, "<built-in method builtins.len>")
+        # pstats rows: (primitive calls, calls, self s, cumulative s, callers);
+        # a caller edge is (calls, primitive calls, self s, cumulative s).
+        stats = SimpleNamespace(stats={
+            core: (3, 3, 1.0, 2.0, {}),
+            simulation: (2, 2, 0.25, 3.0, {}),
+            builtin: (9, 9, 0.75, 0.75, {
+                core: (5, 5, 0.5, 0.5),
+                stdlib: (4, 4, 0.25, 0.25),
+            }),
+            stdlib: (1, 1, 0.125, 0.375, {simulation: (1, 1, 0.125, 0.375)}),
+        })
+        record = fold_layers(stats)
+        # Own time plus the builtin's self time on the core -> len edge.
+        assert record.stat("core") == PhaseStat("core", 1.5, 3)
+        # The stdlib helper is a direct callee of the simulation layer;
+        # the builtin it calls in turn is not, so that edge is "other".
+        assert record.stat("simulation") == PhaseStat("simulation", 0.375, 2)
+        assert record.stat(OTHER) == PhaseStat(OTHER, 0.25, 0)
+        assert [s.name for s in record.phases] == ["core", "simulation", OTHER]
+        assert record.total_seconds == pytest.approx(2.125)
 
     def test_json_round_trip_and_table(self):
-        profiler = PhaseProfiler()
-        profiler.add("a", 0.5)
-        profiler.add("b", 0.25)
-        record = profiler.record()
+        record = ProfileRecord(
+            phases=(PhaseStat("hadoop", 0.5, 40), PhaseStat("core", 0.25, 7))
+        )
         rebuilt = ProfileRecord.from_json_dict(record.to_json_dict())
         assert rebuilt == record
         table = profile_table(record)
-        assert "a" in table and "total" in table
+        assert table.splitlines()[0].split() == ["layer", "self", "s", "calls", "share"]
+        assert "hadoop" in table and "total" in table
         assert profile_table(ProfileRecord(phases=())) == "no profiled phases"
 
 
