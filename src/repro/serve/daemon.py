@@ -4,8 +4,15 @@ One :class:`ServeDaemon` owns one :class:`~repro.serve.engine.ServeEngine`
 and exposes it over a TCP or UNIX-domain socket speaking the NDJSON
 protocol of :mod:`repro.serve.protocol`.  Message handling is synchronous
 on the event loop — the same single-decision-lock concurrency model as
-the real JobTracker's RPC handler — so per-connection reader tasks
-interleave at message granularity and the engine never needs a lock.
+the real JobTracker's RPC handler — so connections interleave at the
+granularity of one received chunk and the engine never needs a lock.
+
+Framing: each connection is an :class:`asyncio.Protocol`.  Every complete
+line of a received chunk is decoded, handled and encoded in one pass, and
+the chunk's replies leave in one write.  Flow control has one point: when
+a connection's unsent replies pass the transport's high-water mark (a
+client that does not read), the daemon stops reading that connection
+until they drain.
 
 Clock: the daemon anchors the engine's simulation clock to the event
 loop's monotonic clock at start, scaled by ``time_scale`` simulated
@@ -15,8 +22,9 @@ pheromone updates fire within seconds.
 
 Shutdown: SIGINT/SIGTERM (via :meth:`install_signal_handlers`), a client
 ``{"type": "shutdown"}`` message, or :meth:`request_stop` all trigger the
-same graceful sequence — stop accepting, let in-flight messages finish,
-flush replies, close client sockets, and snapshot final stats.
+same graceful sequence — stop accepting, flush buffered replies, close
+client sockets (aborting any that cannot take their replies within
+:data:`CLOSE_GRACE_S`), and snapshot final stats.
 """
 
 from __future__ import annotations
@@ -24,12 +32,16 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import signal
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from .engine import ServeEngine
 from .protocol import MAX_LINE_BYTES, decode, encode
 
 __all__ = ["ServeDaemon"]
+
+#: Wall seconds a stopping daemon waits for clients to take their
+#: buffered replies before it aborts their connections.
+CLOSE_GRACE_S = 1.0
 
 
 class ServeDaemon:
@@ -78,14 +90,15 @@ class ServeDaemon:
         self.tick_interval = tick_interval
         self._server: Optional[asyncio.AbstractServer] = None
         self._ticker: Optional[asyncio.Task] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
+        self._connections: Set[_Connection] = set()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._t0 = 0.0
         self.final_stats: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------ clock
     def _now(self) -> float:
-        return (asyncio.get_running_loop().time() - self._t0) * self.time_scale
+        return (self._loop.time() - self._t0) * self.time_scale
 
     @property
     def address(self) -> str:
@@ -106,17 +119,16 @@ class ServeDaemon:
 
     # -------------------------------------------------------------- lifecycle
     async def start(self) -> None:
-        loop = asyncio.get_running_loop()
+        loop = self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         self._t0 = loop.time()
         if self.path is not None:
-            self._server = await asyncio.start_unix_server(
-                self._serve_connection, path=self.path, limit=MAX_LINE_BYTES
+            self._server = await loop.create_unix_server(
+                lambda: _Connection(self), path=self.path
             )
         else:
-            self._server = await asyncio.start_server(
-                self._serve_connection, host=self.host, port=self.port,
-                limit=MAX_LINE_BYTES,
+            self._server = await loop.create_server(
+                lambda: _Connection(self), host=self.host, port=self.port
             )
         if self.tick_interval > 0:
             self._ticker = asyncio.ensure_future(self._tick_loop())
@@ -140,18 +152,23 @@ class ServeDaemon:
         """
         assert self._stop_event is not None, "start() first"
         await self._stop_event.wait()
-        # Stop accepting new connections, then let in-flight handlers
-        # finish their current message and flush buffered replies.
+        # Stop accepting new connections.  Every message received so far
+        # has been answered (handling is synchronous), so what remains is
+        # flushing buffered replies: close each connection, which flushes
+        # first, and abort those whose client is not reading.
         assert self._server is not None
         self._server.close()
         if self._ticker is not None:
             self._ticker.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._ticker
-        for writer in list(self._writers):
-            with contextlib.suppress(ConnectionError):
-                await writer.drain()
-            writer.close()
+        closing = list(self._connections)
+        for connection in closing:
+            connection.transport.close()
+        if closing:
+            await asyncio.wait([c.closed for c in closing], timeout=CLOSE_GRACE_S)
+        for connection in list(self._connections):
+            connection.transport.abort()
         await self._server.wait_closed()
         self.final_stats = self.engine.shutdown()
         return self.final_stats
@@ -163,56 +180,88 @@ class ServeDaemon:
             self.install_signal_handlers()
         return await self.wait_stopped()
 
-    # ------------------------------------------------------------ connections
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        engine = self.engine
-        stamp_clock = not engine.trust_wire_now
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(encode({"type": "error", "message": "line too long"}))
-                    break
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    break
-                if not line:
-                    break
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    message = decode(stripped)
-                except ValueError as exc:  # WireError is a ValueError
-                    writer.write(encode({"type": "error", "message": str(exc)}))
-                    continue
-                if message.get("type") == "shutdown":
-                    reply = {"type": "stats", **engine.stats()}
-                    if "seq" in message:
-                        reply["seq"] = message["seq"]
-                    writer.write(encode(reply))
-                    with contextlib.suppress(ConnectionError):
-                        await writer.drain()
-                    self.request_stop()
-                    break
-                now = self._now() if stamp_clock else None
-                reply = engine.handle(message, now=now)
-                writer.write(encode(reply))
-                # drain() is a no-op below the high-water mark; above it,
-                # this is the backpressure that keeps one flooding client
-                # from ballooning the reply buffer.
-                with contextlib.suppress(ConnectionError):
-                    await writer.drain()
-        finally:
-            self._writers.discard(writer)
-            with contextlib.suppress(ConnectionError):
-                writer.close()
-
     # ----------------------------------------------------------------- ticker
     async def _tick_loop(self) -> None:
         while True:
             await asyncio.sleep(self.tick_interval)
             self.engine.tick(self._now())
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: NDJSON lines in, one reply line per message out."""
+
+    def __init__(self, daemon: ServeDaemon) -> None:
+        self.daemon = daemon
+        self.transport: Optional[asyncio.Transport] = None
+        #: Resolved when the connection is gone (``wait_stopped`` awaits it).
+        self.closed = daemon._loop.create_future()
+        self._buffer = b""
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self.daemon._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.daemon._connections.discard(self)
+        self.closed.set_result(None)
+
+    # The transport calls these around its write high-water mark: a client
+    # that stops reading its replies stops being read.
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def data_received(self, data: bytes) -> None:
+        if self._buffer:
+            data = self._buffer + data
+        lines = data.split(b"\n")
+        self._buffer = lines.pop()
+        if len(self._buffer) > MAX_LINE_BYTES:
+            # Answered as over-limit after the complete lines before it.
+            lines.append(self._buffer)
+            self._buffer = b""
+        self._answer(lines)
+
+    def eof_received(self) -> None:
+        # A last line without its newline is still a message.  Returning
+        # None closes the transport once the replies are flushed.
+        if self._buffer:
+            self._answer([self._buffer])
+            self._buffer = b""
+
+    def _answer(self, lines: List[bytes]) -> None:
+        """Decode, handle and encode ``lines`` in order; write the replies once."""
+        daemon = self.daemon
+        engine = daemon.engine
+        stamp_clock = not engine.trust_wire_now
+        replies = []
+        close = False
+        for line in lines:
+            if len(line) > MAX_LINE_BYTES:
+                replies.append(encode({"type": "error", "message": "line too long"}))
+                close = True
+                break
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                message = decode(line)
+            except ValueError as exc:  # WireError is a ValueError
+                replies.append(encode({"type": "error", "message": str(exc)}))
+                continue
+            if message.get("type") == "shutdown":
+                reply = {"type": "stats", **engine.stats()}
+                if "seq" in message:
+                    reply["seq"] = message["seq"]
+                replies.append(encode(reply))
+                daemon.request_stop()
+                close = True
+                break
+            now = daemon._now() if stamp_clock else None
+            replies.append(encode(engine.handle(message, now=now)))
+        if replies:
+            self.transport.write(b"".join(replies))
+        if close:
+            self.transport.close()

@@ -21,9 +21,14 @@ __all__ = ["encode", "decode", "MAX_LINE_BYTES"]
 MAX_LINE_BYTES = 4 * 1024 * 1024
 
 
+#: One shared encoder: ``json.dumps(..., separators=...)`` builds a new
+#: ``JSONEncoder`` on every call, and the daemon encodes every reply.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode(message: Dict[str, Any]) -> bytes:
     """Frame one message: compact JSON plus the terminating newline."""
-    return json.dumps(message, separators=(",", ":")).encode("utf-8") + b"\n"
+    return _ENCODER.encode(message).encode("utf-8") + b"\n"
 
 
 def decode(line: bytes) -> Dict[str, Any]:
@@ -37,6 +42,10 @@ def decode(line: bytes) -> Dict[str, Any]:
         message = json.loads(line)
     except json.JSONDecodeError as exc:
         raise WireError(f"malformed JSON line: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise WireError(f"malformed JSON line: not UTF-8 ({exc.reason})") from None
+    except RecursionError:
+        raise WireError("malformed JSON line: nested too deeply") from None
     if not isinstance(message, dict):
         raise WireError("each line must be a JSON object")
     return message

@@ -9,10 +9,12 @@ assigned.
 """
 
 import asyncio
+import contextlib
 import json
+import socket
 
 from repro.serve import LoadGenerator, ServeDaemon, ServeEngine, fleet_tracker_infos
-from repro.serve.protocol import encode
+from repro.serve.protocol import MAX_LINE_BYTES, encode
 from repro.workloads import DiurnalProcess, render_trace
 
 TIME_SCALE = 600.0  # one 300 s control interval every half wall second
@@ -160,3 +162,204 @@ def test_unix_socket_roundtrip(tmp_path):
     assert reply["type"] == "stats"
     assert reply["seq"] == 5
     assert reply["scheduler"] == "fair"
+
+
+# ---------------------------------------------------------------- framing
+#
+# These drive a UNIX-socket daemon from a plain blocking socket in a worker
+# thread, so a test sees exactly the bytes on the wire, and a daemon that
+# closes the connection with unread input (ECONNRESET) still delivers every
+# reply it queued before closing.
+
+
+def _with_unix_daemon(tmp_path, client):
+    """Run ``client(path)`` in a thread against a live daemon; return its result."""
+    path = str(tmp_path / "d.sock")
+
+    async def scenario():
+        engine = ServeEngine(scheduler="fifo", seed=3, trust_wire_now=False)
+        daemon = ServeDaemon(engine, path=path, time_scale=TIME_SCALE)
+        await daemon.start()
+        stopped = asyncio.ensure_future(daemon.wait_stopped())
+        try:
+            return await asyncio.get_running_loop().run_in_executor(None, client, path)
+        finally:
+            daemon.request_stop()
+            await asyncio.wait_for(stopped, timeout=5.0)
+
+    return asyncio.run(scenario())
+
+
+def _exchange(payload, *, replies=None, eof=False):
+    """A client that sends ``payload`` and reads the reply lines.
+
+    Reads ``replies`` lines, or until the daemon closes the connection when
+    ``replies`` is None.  Returns ``(reply dicts, closed_by_daemon)``.
+    """
+
+    def client(path):
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10.0)
+            sock.connect(path)
+            with contextlib.suppress(BrokenPipeError, ConnectionResetError):
+                sock.sendall(payload)
+                if eof:
+                    sock.shutdown(socket.SHUT_WR)
+            data = b""
+            closed = False
+            while replies is None or data.count(b"\n") < replies:
+                try:
+                    chunk = sock.recv(65536)
+                except ConnectionResetError:
+                    chunk = b""
+                if not chunk:
+                    closed = True
+                    break
+                data += chunk
+            return [json.loads(line) for line in data.splitlines()], closed
+
+    return client
+
+
+def _lines(*messages):
+    return b"".join(encode(m) for m in messages)
+
+
+def test_pipelined_replies_come_back_in_order_with_seq(tmp_path):
+    trackers = fleet_tracker_infos()
+    messages = [{"type": "register", **t.to_wire()} for t in trackers]
+    messages += [
+        {"type": "heartbeat", "machine_id": t.machine_id, "free_map_slots": 0,
+         "free_reduce_slots": 0, "running_maps": 0, "running_reduces": 0}
+        for t in trackers * 3
+    ]
+    messages.append({"type": "stats"})
+    for seq, message in enumerate(messages, start=1):
+        message["seq"] = seq
+    replies, closed = _with_unix_daemon(
+        tmp_path, _exchange(_lines(*messages), replies=len(messages))
+    )
+    assert not closed
+    assert [r["seq"] for r in replies] == list(range(1, len(messages) + 1))
+    types = [r["type"] for r in replies]
+    assert types == ["ok"] * len(trackers) + ["assignment"] * 3 * len(trackers) + ["stats"]
+
+
+def test_connection_survives_unknown_type_and_non_json_line(tmp_path):
+    payload = (
+        _lines({"type": "nope", "seq": 1})
+        + b"this is not json\n"
+        + _lines({"type": "stats", "seq": 2})
+    )
+    replies, closed = _with_unix_daemon(tmp_path, _exchange(payload, replies=3))
+    assert not closed
+    assert replies[0] == {"type": "error", "message": "unknown message type 'nope'", "seq": 1}
+    assert replies[1]["type"] == "error" and "seq" not in replies[1]
+    assert replies[1]["message"].startswith("malformed JSON line")
+    assert (replies[2]["type"], replies[2]["seq"]) == ("stats", 2)
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    payload = b"\n   \n" + _lines({"type": "stats", "seq": 1}) + b"\r\n\t\n" + _lines(
+        {"type": "stats", "seq": 2}
+    )
+    replies, closed = _with_unix_daemon(tmp_path, _exchange(payload, eof=True))
+    assert closed
+    assert [(r["type"], r["seq"]) for r in replies] == [("stats", 1), ("stats", 2)]
+
+
+def test_over_limit_line_gets_one_error_then_close(tmp_path):
+    payload = (
+        _lines({"type": "stats", "seq": 1})
+        + b"x" * (MAX_LINE_BYTES + 1)
+        + b"\n"
+        + _lines({"type": "stats", "seq": 2})
+    )
+    replies, closed = _with_unix_daemon(tmp_path, _exchange(payload))
+    assert closed
+    assert [r["type"] for r in replies] == ["stats", "error"]
+    assert replies[1] == {"type": "error", "message": "line too long"}
+
+
+def test_final_unterminated_line_before_eof_is_answered(tmp_path):
+    payload = _lines({"type": "stats", "seq": 1}) + b'{"type":"stats","seq":2}'
+    replies, closed = _with_unix_daemon(tmp_path, _exchange(payload, eof=True))
+    assert closed
+    assert [(r["type"], r["seq"]) for r in replies] == [("stats", 1), ("stats", 2)]
+
+
+def test_deep_nesting_and_bad_utf8_get_error_replies_and_keep_the_connection(tmp_path):
+    payload = (
+        b"[" * 200_000 + b"\n"
+        + b'{"type":"\xff\xfe"}\n'
+        + _lines({"type": "stats", "seq": 7})
+    )
+    replies, closed = _with_unix_daemon(tmp_path, _exchange(payload, replies=3))
+    assert not closed
+    assert [r["type"] for r in replies] == ["error", "error", "stats"]
+    assert all(r["message"].startswith("malformed JSON line") for r in replies[:2])
+    assert replies[2]["seq"] == 7
+
+
+# ---------------------------------------------------- flow control and stop
+
+
+def test_flooding_non_reader_is_throttled_without_starving_others(tmp_path):
+    # The flooder pipelines far more replies than the socket buffers and
+    # the daemon's write high-water mark can hold, and never reads one.
+    path = str(tmp_path / "d.sock")
+    tracker = fleet_tracker_infos()[0]
+    flood = 20_000
+    heartbeat = {"type": "heartbeat", "machine_id": tracker.machine_id,
+                 "free_map_slots": 0, "free_reduce_slots": 0,
+                 "running_maps": 0, "running_reduces": 0}
+
+    async def scenario():
+        engine = ServeEngine(scheduler="fifo", seed=3, trust_wire_now=False)
+        daemon = ServeDaemon(engine, path=path, time_scale=TIME_SCALE)
+        await daemon.start()
+        stopped = asyncio.ensure_future(daemon.wait_stopped())
+        _flood_reader, flooder = await asyncio.open_unix_connection(path)
+        flooder.write(_lines({"type": "register", **tracker.to_wire()}))
+        flooder.write(_lines(*({**heartbeat, "seq": i} for i in range(flood))))
+        await asyncio.sleep(0.5)
+        reader, writer = await asyncio.open_unix_connection(path)
+        writer.write(_lines({"type": "stats", "seq": 1}))
+        reply = json.loads(await asyncio.wait_for(reader.readline(), timeout=2.0))
+        daemon.request_stop()
+        final = await asyncio.wait_for(stopped, timeout=5.0)
+        writer.close()
+        flooder.close()
+        return reply, final
+
+    reply, final = asyncio.run(scenario())
+    assert (reply["type"], reply["seq"]) == ("stats", 1)
+    # The daemon stopped reading the flooder once its replies backed up.
+    assert reply["messages_handled"] < flood
+    assert final["errors"] == 0
+
+
+def test_stop_with_idle_clients_reports_no_loop_exceptions(tmp_path):
+    path = str(tmp_path / "d.sock")
+    reported = []
+
+    async def scenario():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: reported.append(context)
+        )
+        engine = ServeEngine(scheduler="fifo", seed=3, trust_wire_now=False)
+        daemon = ServeDaemon(engine, path=path, time_scale=TIME_SCALE)
+        await daemon.start()
+        clients = [await asyncio.open_unix_connection(path) for _ in range(3)]
+        await asyncio.sleep(0.05)
+        daemon.request_stop()
+        # No await after the stop: the loop tears down as soon as it returns,
+        # as it does under ``asyncio.run(daemon.run())``.
+        final = await daemon.wait_stopped()
+        for _reader, writer in clients:
+            writer.close()
+        return final
+
+    final = asyncio.run(scenario())
+    assert final is not None
+    assert reported == []
