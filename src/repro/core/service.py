@@ -115,11 +115,14 @@ def _require(mapping: Dict[str, Any], key: str, kind: type) -> Any:
     return value
 
 
-def _require_count(mapping: Dict[str, Any], key: str) -> int:
-    value = _require(mapping, key, int)
+def _non_negative(key: str, value: Any) -> Any:
     if value < 0:
-        raise WireError(f"field {key!r} must be non-negative, got {value}")
+        raise WireError(f"field {key!r} must be non-negative, got {value!r}")
     return value
+
+
+def _require_count(mapping: Dict[str, Any], key: str) -> int:
+    return _non_negative(key, _require(mapping, key, int))
 
 
 @dataclass(frozen=True)
@@ -300,6 +303,8 @@ def report_fields_from_wire(data: Dict[str, Any]) -> Dict[str, Any]:
 
     Returns the fields a host needs to finish the matching attempt
     (``samples`` already as :class:`~repro.energy.model.UtilizationSample`).
+    Utilizations and sample durations must be non-negative: a negative
+    sample would flatten the E-Ant colonies at the next control interval.
     """
     from ..energy.model import UtilizationSample
 
@@ -308,9 +313,10 @@ def report_fields_from_wire(data: Dict[str, Any]) -> Dict[str, Any]:
     for entry in raw_samples:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise WireError("each sample must be a [utilization, duration] pair")
-        samples.append(
-            UtilizationSample(wire_float("samples", entry[0]), wire_float("samples", entry[1]))
-        )
+        samples.append(UtilizationSample(
+            _non_negative("samples", wire_float("samples", entry[0])),
+            _non_negative("samples", wire_float("samples", entry[1])),
+        ))
     phases = _require(data, "phases", dict)
     local = _require(data, "local", bool)
     return {
@@ -319,7 +325,9 @@ def report_fields_from_wire(data: Dict[str, Any]) -> Dict[str, Any]:
         "machine_id": _require_count(data, "machine_id"),
         "start_time": _require(data, "start_time", float),
         "finish_time": _require(data, "finish_time", float),
-        "avg_utilization": _require(data, "avg_utilization", float),
+        "avg_utilization": _non_negative(
+            "avg_utilization", _require(data, "avg_utilization", float)
+        ),
         "local": local,
         "samples": samples,
         "phases": {str(k): float(v) for k, v in phases.items()},

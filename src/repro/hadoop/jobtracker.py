@@ -582,8 +582,8 @@ class JobTracker:
         """Register a callback invoked for every successful task report."""
         self._listeners.append(listener)
 
-    def task_finished(self, tracker: TaskTracker, attempt: TaskAttempt) -> None:
-        """A TaskTracker reports a successful attempt."""
+    def task_finished(self, tracker: Optional[TaskTracker], attempt: TaskAttempt) -> None:
+        """A TaskTracker reports a successful attempt; ``tracker`` is unused."""
         task = attempt.task
         job = task.job
         already_done = task.state.value == "completed"

@@ -223,11 +223,12 @@ class SweepRunner:
     ) -> List[Tuple[int, ScenarioSpec]]:
         """Fan ``pending`` out over a pool; return what still needs serial.
 
-        Each completed record is handed to ``on_record`` (which stores or
-        spools it) as soon as its result is collected, and submission is
-        window-bounded (a few tasks per worker in flight), so the pool
-        path holds O(workers) records regardless of grid size — the
-        memory contract spooled 10k-spec sweeps rely on.
+        Each completed record is handed to ``on_record`` (which caches,
+        stores or spools, and reports it) as soon as its result is
+        collected, and submission is window-bounded (a few tasks per
+        worker in flight), so the pool path holds O(workers) records
+        regardless of grid size — the memory contract spooled 10k-spec
+        sweeps rely on.
         """
         leftovers: List[Tuple[int, ScenarioSpec]] = []
         resolved: set = set()
@@ -268,46 +269,44 @@ class SweepRunner:
             leftovers = [(i, s) for i, s in pending if i not in resolved]
         return leftovers
 
-    def _flush_partial(
+    def _resolve(
         self,
-        specs: Sequence[ScenarioSpec],
-        results: List[Optional[RunRecord]],
+        specs: List[ScenarioSpec],
         report: SweepReport,
         started: float,
+        sink: Callable[[int, RunRecord], None],
+        **summary: int,
     ) -> None:
-        """Persist what an interrupted sweep already resolved.
+        """Resolve every spec not yet in ``report.sources``, in order.
 
-        Every executed record goes into the cache (when one is attached)
-        so a re-run after Ctrl-C resumes from the interruption point
-        instead of re-simulating, and ``last_report`` reflects the partial
-        accounting.
+        The one resolution loop behind :meth:`run` and
+        :meth:`run_spooled`: cache, then pool, then serial fallback.  Each
+        record lands the moment it resolves — into the cache (unless it
+        came from there), then ``sink(index, record)``, then the progress
+        line — so an interrupt or a :class:`SweepError` loses nothing
+        already resolved.  Caching before the sink matters for spooled
+        sweeps: if the spool append is the crash point (the resilience
+        rig's kill hook lives there), the result is already durable in
+        the cache for the resumed run.
+
+        SIGTERM is mapped onto ``KeyboardInterrupt`` for the duration
+        (main thread only) so both signals take the same path: pool
+        workers are terminated on the way out (the ``Pool`` context
+        manager handles that) and the exception propagates.  On every
+        exit ``report.wall_seconds`` is set and ``last_report`` is
+        ``report``.  ``summary`` adds fields to the ``sweep.summary``
+        trace event.
         """
-        if self.cache is not None:
-            for index, spec in enumerate(specs):
-                if results[index] is not None and report.sources.get(index) != "cache":
-                    self.cache.put(spec, results[index])  # type: ignore[arg-type]
-        report.wall_seconds = time.perf_counter() - started
-        self.last_report = report
-
-    # ------------------------------------------------------------------ API
-    def run(self, specs: Sequence[ScenarioSpec]) -> List[RunRecord]:
-        """Resolve every spec (cache, pool, then serial fallback), in order.
-
-        The returned list is index-aligned with ``specs``.  Raises
-        :class:`SweepError` if any spec still fails after retries.
-
-        SIGINT and SIGTERM interrupt the sweep cleanly: pool workers are
-        terminated (the ``Pool`` context manager handles that on the way
-        out), already-resolved records are flushed to the cache, and
-        ``KeyboardInterrupt`` propagates to the caller.  SIGTERM is
-        mapped onto ``KeyboardInterrupt`` for the duration of the run
-        (main thread only) so both signals take the same path.
-        """
-        specs = list(specs)
         total = len(specs)
-        started = time.perf_counter()
-        report = SweepReport(total=total)
-        results: List[Optional[RunRecord]] = [None] * total
+
+        def land(
+            index: int, spec: ScenarioSpec, record: RunRecord,
+            source: str, seconds: float,
+        ) -> None:
+            if self.cache is not None and source != "cache":
+                self.cache.put(spec, record)
+            sink(index, record)
+            self._emit(started, index, total, spec, source, seconds, report)
 
         previous_sigterm = None
         if threading.current_thread() is threading.main_thread():
@@ -315,27 +314,21 @@ class SweepRunner:
                 raise KeyboardInterrupt
             previous_sigterm = signal.signal(signal.SIGTERM, _on_sigterm)
 
-        def on_record(
-            index: int, spec: ScenarioSpec, record: RunRecord,
-            source: str, seconds: float,
-        ) -> None:
-            results[index] = record
-            self._emit(started, index, total, spec, source, seconds, report)
-
         try:
             pending: List[Tuple[int, ScenarioSpec]] = []
             for index, spec in enumerate(specs):
+                if index in report.sources:
+                    continue  # restored before the loop (a resumed spool)
                 cached = self.cache.get(spec) if self.cache is not None else None
                 if cached is not None:
-                    results[index] = cached
                     report.cache_hits += 1
                     report.sources[index] = "cache"
-                    self._emit(started, index, total, spec, "cache", 0.0, report)
+                    land(index, spec, cached, "cache", 0.0)
                 else:
                     pending.append((index, spec))
 
-            if pending and (self.workers or 1) > 1 and len(pending) > 1:
-                pending = self._run_pool(pending, on_record, report)
+            if (self.workers or 1) > 1 and len(pending) > 1:
+                pending = self._run_pool(pending, land, report)
                 report.fell_back_serial = len(pending)
 
             for index, spec in pending:
@@ -343,23 +336,13 @@ class SweepRunner:
                 record = self._run_serial_one(spec, report)
                 report.executed += 1
                 report.sources[index] = "serial"
-                on_record(
-                    index, spec, record, "serial",
-                    time.perf_counter() - attempt_started,
-                )
-        except KeyboardInterrupt:
-            self._flush_partial(specs, results, report, started)
-            raise
+                land(index, spec, record, "serial", time.perf_counter() - attempt_started)
         finally:
             if previous_sigterm is not None:
                 signal.signal(signal.SIGTERM, previous_sigterm)
+            report.wall_seconds = time.perf_counter() - started
+            self.last_report = report
 
-        if self.cache is not None:
-            for index, spec in enumerate(specs):
-                if report.sources.get(index) != "cache":
-                    self.cache.put(spec, results[index])  # type: ignore[arg-type]
-
-        report.wall_seconds = time.perf_counter() - started
         if self.tracer is not None:
             self.tracer.emit(
                 EventType.SWEEP_SUMMARY,
@@ -367,10 +350,32 @@ class SweepRunner:
                 total=report.total,
                 cache_hits=report.cache_hits,
                 executed=report.executed,
+                **summary,
                 serial_fallbacks=report.fell_back_serial,
                 wall_seconds=round(report.wall_seconds, 6),
             )
-        self.last_report = report
+
+    # ------------------------------------------------------------------ API
+    def run(self, specs: Sequence[ScenarioSpec]) -> List[RunRecord]:
+        """Resolve every spec (cache, pool, then serial fallback), in order.
+
+        The returned list is index-aligned with ``specs``.  Raises
+        :class:`SweepError` if any spec still fails after retries; records
+        resolved before the failure are already in the cache.
+
+        SIGINT and SIGTERM interrupt the sweep cleanly: pool workers are
+        terminated, already-resolved records are in the cache (each is
+        cached as it resolves), and ``KeyboardInterrupt`` propagates to
+        the caller.
+        """
+        specs = list(specs)
+        started = time.perf_counter()
+        results: List[Optional[RunRecord]] = [None] * len(specs)
+
+        def store(index: int, record: RunRecord) -> None:
+            results[index] = record
+
+        self._resolve(specs, SweepReport(total=len(specs)), started, store)
         return results  # type: ignore[return-value]
 
     def run_spooled(
@@ -453,72 +458,11 @@ class SweepRunner:
                 remaining=total - len(report.sources),
             )
 
-        previous_sigterm = None
-        if threading.current_thread() is threading.main_thread():
-            def _on_sigterm(signum, frame):  # pragma: no cover - signal path
-                raise KeyboardInterrupt
-            previous_sigterm = signal.signal(signal.SIGTERM, _on_sigterm)
-
-        def on_record(
-            index: int, spec: ScenarioSpec, record: RunRecord,
-            source: str, seconds: float,
-        ) -> None:
-            # Cache before spooling: if the spool append is the crash
-            # point (the rig's kill hook lives there), the result is
-            # already durable in the cache for the resumed run.
-            if self.cache is not None and source != "cache":
-                self.cache.put(spec, record)
+        def append(index: int, record: RunRecord) -> None:
             aggregate.add(record, spool.append(record))
-            self._emit(started, index, total, spec, source, seconds, report)
 
         try:
-            pending: List[Tuple[int, ScenarioSpec]] = []
-            for index, spec in enumerate(specs):
-                if index in report.sources:
-                    continue  # restored from the spool above
-                cached = self.cache.get(spec) if self.cache is not None else None
-                if cached is not None:
-                    report.cache_hits += 1
-                    report.sources[index] = "cache"
-                    on_record(index, spec, cached, "cache", 0.0)
-                else:
-                    pending.append((index, spec))
-
-            if pending and (self.workers or 1) > 1 and len(pending) > 1:
-                pending = self._run_pool(pending, on_record, report)
-                report.fell_back_serial = len(pending)
-
-            for index, spec in pending:
-                attempt_started = time.perf_counter()
-                record = self._run_serial_one(spec, report)
-                report.executed += 1
-                report.sources[index] = "serial"
-                on_record(
-                    index, spec, record, "serial",
-                    time.perf_counter() - attempt_started,
-                )
-        except KeyboardInterrupt:
-            # Everything completed so far is already flushed to the spool
-            # (and cache) — a re-run resumes from the interruption point.
-            report.wall_seconds = time.perf_counter() - started
-            self.last_report = report
-            raise
+            self._resolve(specs, report, started, append, resumed=report.resumed)
         finally:
-            if previous_sigterm is not None:
-                signal.signal(signal.SIGTERM, previous_sigterm)
             spool.close()
-
-        report.wall_seconds = time.perf_counter() - started
-        if self.tracer is not None:
-            self.tracer.emit(
-                EventType.SWEEP_SUMMARY,
-                report.wall_seconds,
-                total=report.total,
-                cache_hits=report.cache_hits,
-                executed=report.executed,
-                resumed=report.resumed,
-                serial_fallbacks=report.fell_back_serial,
-                wall_seconds=round(report.wall_seconds, 6),
-            )
-        self.last_report = report
         return aggregate

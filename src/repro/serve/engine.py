@@ -235,22 +235,24 @@ class ServeEngine:
                 f"report for {fields['attempt_id']!r} does not match the "
                 f"latest attempt of {fields['task_id']!r}"
             )
+        if fields["machine_id"] != attempt.machine_id:
+            raise WireError(
+                f"report for {fields['attempt_id']!r} came from machine "
+                f"{fields['machine_id']}; the attempt runs on machine "
+                f"{attempt.machine_id}"
+            )
         self._pump(now)
-        if task.state.value == "completed":
-            # Duplicate delivery; the first report won.
-            return {"type": "ok", "task_id": task.task_id, "duplicate": True}
         attempt.finish_time = fields["finish_time"]
         attempt.succeeded = True
         attempt.avg_utilization = fields["avg_utilization"]
         attempt.samples = fields["samples"]
         attempt.local = fields["local"]
         attempt.phases = fields["phases"]
-        # Same order as JobTracker.task_finished: barrier bookkeeping,
-        # then the flattened report into the core.
-        task.job.complete_task(task)
-        report = attempt.to_report()
-        self.jobtracker.reports.append(report)
-        self.core.task_report(report)
+        # The DES path from here on: barrier bookkeeping, then the
+        # flattened report into the core.  A second report for the task
+        # cannot reach this point — the core dropped it from its live
+        # index, so ``resolve`` above refuses it.
+        self.jobtracker.task_finished(None, attempt)
         # Drain the urgent dispatches complete_task may have scheduled
         # (maps-done / job-done barriers) before the next message.
         self._pump(now)

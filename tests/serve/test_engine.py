@@ -257,3 +257,53 @@ class TestBadSubmitSizes:
         assert reply["type"] == "error"
         assert reply["seq"] == 5
         assert engine.errors == 1
+
+
+class TestHostileReports:
+    """A report must come from the attempt's machine and carry
+    non-negative utilizations and durations; otherwise it is an error
+    reply and the task keeps running."""
+
+    @staticmethod
+    def assigned_map(engine):
+        for machine_id in (0, 9):
+            assert register(engine, machine_id)["type"] == "ok"
+        assert engine.handle({
+            "type": "submit", "application": "grep", "input_mb": 64.0,
+        })["type"] == "ok"
+        reply = engine.handle({
+            "type": "heartbeat", "machine_id": 0, "now": 1.0,
+            "free_map_slots": 2, "free_reduce_slots": 0,
+            "running_maps": 0, "running_reduces": 0,
+        })
+        task_id = reply["directives"][0]["task_id"]
+        return task_id, {
+            "type": "report", "task_id": task_id,
+            "attempt_id": f"attempt_{task_id}_0", "kind": "map",
+            "machine_id": 0, "start_time": 1.0, "finish_time": 11.0,
+            "avg_utilization": 0.6, "local": True,
+            "samples": [[0.6, 10.0]], "phases": {"cpu": 10.0},
+        }
+
+    @pytest.mark.parametrize(
+        "field, value, needle",
+        [
+            ("machine_id", 9, "machine 9"),
+            ("avg_utilization", -0.5, "avg_utilization"),
+            ("samples", [[-2.0, 10.0]], "samples"),
+            ("samples", [[0.6, -10.0]], "samples"),
+        ],
+        ids=["foreign-machine", "negative-avg", "negative-util", "negative-duration"],
+    )
+    def test_hostile_report_is_refused(self, field, value, needle):
+        engine = make_engine(scheduler="fifo")
+        task_id, report = self.assigned_map(engine)
+        reply = engine.handle({**report, field: value, "seq": 4})
+        assert reply["type"] == "error" and reply["seq"] == 4
+        assert needle in reply["message"]
+        assert engine.core.resolve(task_id).state.value == "running"
+        assert engine.stats()["reports"] == 0
+        # The honest report for the same attempt is still accepted.
+        assert engine.handle(report) == {
+            "type": "ok", "task_id": task_id, "duplicate": False,
+        }

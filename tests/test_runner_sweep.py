@@ -251,3 +251,52 @@ class TestSpooledPoolPath:
         )
         assert aggregate.records == len(specs)
         assert runner.last_report.total == len(specs)
+
+
+class TestFailureKeepsProgress:
+    """A ``SweepError`` keeps what resolved before it: each record is
+    cached as it lands, and ``last_report`` describes the failed call."""
+
+    @staticmethod
+    def fail_second(monkeypatch, specs):
+        real_worker = sweep_module._execute_record_worker
+        doomed = specs[1].spec_hash()
+
+        def worker(spec):
+            if spec.spec_hash() == doomed:
+                raise RuntimeError("boom")
+            return real_worker(spec)
+
+        monkeypatch.setattr(sweep_module, "_execute_record_worker", worker)
+
+    def test_spec_resolved_before_failure_is_cached(self, tmp_path, monkeypatch):
+        specs = micro_specs(1)
+        self.fail_second(monkeypatch, specs)
+        with pytest.raises(SweepError):
+            SweepRunner(workers=1, retries=0, cache=ResultCache(tmp_path)).run(specs)
+        monkeypatch.undo()
+
+        rerun = SweepRunner(workers=1, cache=ResultCache(tmp_path))
+        rerun.run(specs)
+        assert rerun.last_report.cache_hits == 1
+        assert rerun.last_report.sources == {0: "cache", 1: "serial"}
+
+    @pytest.mark.parametrize("spooled", [False, True], ids=["run", "run_spooled"])
+    def test_last_report_describes_failed_call(self, tmp_path, monkeypatch, spooled):
+        from repro.runner import ResultSpool
+
+        runner = SweepRunner(workers=1, retries=0)
+        runner.run(micro_specs(2)[2:3])  # an earlier, successful call
+        specs = micro_specs(1)
+        self.fail_second(monkeypatch, specs)
+        with pytest.raises(SweepError):
+            if spooled:
+                runner.run_spooled(specs, ResultSpool(tmp_path / "s.jsonl"))
+            else:
+                runner.run(specs)
+
+        report = runner.last_report
+        assert report.total == len(specs)
+        assert report.executed == 1
+        assert report.sources == {0: "serial"}
+        assert report.wall_seconds > 0
