@@ -1,13 +1,13 @@
 """Retained naive implementations of every optimized hot path.
 
-The kernel and assignment-loop optimizations (indexed heap dispatch,
-memoized pheromone normalizers, cached slot totals, gated tracker-expiry
-sweeps, idle-heartbeat parking, batched energy integration) are all
-*pure* transformations: they must compute exactly the same
-floating-point expressions in the same order as the straightforward code
-they replaced, so every simulation stays bit-identical.  This module
-keeps the straightforward code alive as the executable specification of
-that contract.
+The kernel and assignment-loop optimizations (the inlined run loop and
+event factories, memoized pheromone normalizers, cached slot totals,
+gated tracker-expiry sweeps, idle-heartbeat parking, batched energy
+integration) are all *pure* transformations: they must compute exactly
+the same floating-point expressions in the same order as the
+straightforward code they replaced, so every simulation stays
+bit-identical.  This module keeps the straightforward code alive as the
+executable specification of that contract.
 
 :func:`reference_mode` swaps the naive implementations in (monkey-style,
 on the classes themselves) for the duration of a ``with`` block; the
@@ -20,15 +20,17 @@ optimized code promises never to make.
 The naive bodies are faithful transcriptions of the pre-optimization
 code, not simplified rewrites: ``_stats`` recomputes the row normalizers
 on every query, ``total_slots`` re-sums the fleet, the simulator run
-loop composes :meth:`EventHeap.pop` + :meth:`Event._dispatch` one frame
-per event, the expiry sweep scans every tracker on every heartbeat,
-every TaskTracker heartbeats every interval (no idle parking), and the
-energy integrator goes through the :class:`PowerModel` helper methods.
+loop composes :meth:`Simulator.step` one frame per event and every push
+goes through one ``heappush`` helper, the expiry sweep scans every
+tracker on every heartbeat, every TaskTracker heartbeats every interval
+(no idle parking), and the energy integrator goes through the
+:class:`PowerModel` helper methods.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from heapq import heappush
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 import numpy as np
@@ -163,56 +165,48 @@ def _reference_total_slots(self: Cluster) -> Tuple[int, int]:
 
 
 # --------------------------------------------------------------- simulator
+def _reference_push(self: Simulator, when: float, priority: int, event: Event) -> None:
+    """One ``heappush`` per queued event: the seed kernel's ``_push``."""
+    self._seq += 1
+    heappush(self._queue, (when, priority, self._seq, event))
+
+
 def _reference_timeout(self: Simulator, delay: float, value: Any = None) -> Event:
-    """``Event(sim)`` + ``heap.push`` — no slot-by-slot construction."""
+    """``Event(sim)`` + ``_reference_push`` — no slot-by-slot construction."""
     if delay < 0:
         raise ValueError(f"negative timeout delay: {delay}")
     event = Event(self)
     event._value = value
     event._triggered = True
-    event._heap_seq = self._heap.push(self._now + delay, PRIORITY_NORMAL, event)
+    _reference_push(self, self._now + delay, PRIORITY_NORMAL, event)
     return event
 
 
 def _reference_schedule_dispatch(self: Simulator, event: Event) -> None:
-    """Urgent-priority queueing through the public heap API."""
-    event._heap_seq = self._heap.push(self._now, PRIORITY_URGENT, event)
+    """Urgent-priority queueing through ``_reference_push``."""
+    _reference_push(self, self._now, PRIORITY_URGENT, event)
 
 
 def _reference_run(self: Simulator, until: Optional[float] = None) -> None:
-    """``step()``-composed run loop: one frame per event, no inlining.
-
-    ``stop()`` is tested at the top of each iteration; the optimized loop
-    tests it immediately after a dispatch.  The flag can only flip
-    *during* a dispatch, so both loops dispatch exactly the same events.
-    """
+    """``step()``-composed run loop: one frame per event, no inlining."""
     if self._running:
         raise SimulationError("simulator is already running (re-entrant run)")
     self._running = True
-    self._stopped = False
-    heap = self._heap
+    queue = self._queue
     if self.tracer.enabled:
-        self.tracer.emit(EventType.SIM_START, self._now, until=until, queued=len(heap))
-    dispatched = 0
+        self.tracer.emit(EventType.SIM_START, self._now, until=until, queued=len(queue))
     last_event_time = self._now
     try:
         if until is not None and until < self._now:
             raise ValueError(f"run(until={until}) is in the past (now={self._now})")
-        while not self._stopped:
-            entry = heap.peek()
-            if entry is None:
+        while queue:
+            if until is not None and self.peek() > until:
                 break
-            if until is not None and entry[0] > until:
-                break
-            when, _priority, _seq, event = heap.pop()
-            self._now = when
-            dispatched += 1
-            event._dispatch()
+            self.step()
         last_event_time = self._now
-        if until is not None and not self._stopped:
+        if until is not None:
             self._now = until
     finally:
-        self._dispatched += dispatched
         self._running = False
         if self.tracer.enabled:
             self.tracer.emit(
@@ -220,7 +214,7 @@ def _reference_run(self: Simulator, until: Optional[float] = None) -> None:
                 last_event_time,
                 clock=self._now,
                 dispatched=self._dispatched,
-                queued=len(heap),
+                queued=len(queue),
             )
 
 

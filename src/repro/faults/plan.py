@@ -291,7 +291,7 @@ class FaultPlan:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as error:
+        except (OSError, UnicodeDecodeError) as error:
             raise FaultPlanError(f"cannot read fault plan {path}: {error}") from None
         return cls.from_json(text)
 

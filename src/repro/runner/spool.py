@@ -108,6 +108,14 @@ def encode_line(
     )
 
 
+def _utf8(raw: bytes) -> str:
+    """One raw spool line as text without its newline; bad bytes are damage."""
+    try:
+        return raw.decode("utf-8").rstrip("\n")
+    except UnicodeDecodeError as error:
+        raise SpoolLineError(f"not valid UTF-8 (byte {error.start})") from None
+
+
 def decode_line(text: str) -> Tuple[str, str, RunRecord]:
     """Parse and *verify* one spool line -> ``(spec_hash, digest, record)``.
 
@@ -238,13 +246,14 @@ class ResultSpool:
         if not self.path.exists():
             return
         seen: Dict[str, str] = {}
-        with open(self.path, "r", encoding="utf-8") as handle:
+        # Bytes in, one strict decode per line: a line that is not UTF-8
+        # is damaged like any other, not a reason to abandon the scan.
+        with open(self.path, "rb") as handle:
             for lineno, raw in enumerate(handle, start=1):
-                text = raw.rstrip("\n")
-                if not text.strip():
+                if not raw.strip():
                     continue
                 try:
-                    spec_hash, digest, record = decode_line(text)
+                    spec_hash, digest, record = decode_line(_utf8(raw))
                 except SpoolLineError as error:
                     if warn is not None:
                         warn(

@@ -3,31 +3,22 @@
 A minimal, deterministic, generator-based DES in the style of SimPy, written
 from scratch for this reproduction.  Public surface:
 
-* :class:`Simulator` — clock + event heap + process spawner.
-* :class:`Event`, :class:`AllOf`, :class:`AnyOf` — waitable occurrences.
+* :class:`Simulator` — clock + ``heapq`` event queue + process spawner.
+* :class:`Event` — a one-shot waitable occurrence.
 * :class:`Process`, :class:`Interrupt` — generator processes with interrupt.
-* :class:`Resource`, :class:`Store` — queueing primitives.
 * :class:`RandomStreams` — named seeded RNG streams.
-* :class:`EventHeap` — the indexed binary heap under the simulator.
 """
 
 from .engine import Simulator
-from .events import AllOf, AnyOf, Event, SimulationError
-from .heap import EventHeap
+from .events import Event, SimulationError
 from .process import Interrupt, Process
-from .resources import Resource, Store
 from .rng import RandomStreams
 
 __all__ = [
     "Simulator",
-    "EventHeap",
     "Event",
-    "AllOf",
-    "AnyOf",
     "SimulationError",
     "Process",
     "Interrupt",
-    "Resource",
-    "Store",
     "RandomStreams",
 ]

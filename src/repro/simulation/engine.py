@@ -1,6 +1,6 @@
 """The discrete-event simulation core.
 
-:class:`Simulator` owns the event heap and the simulation clock.  Everything
+:class:`Simulator` owns the event queue and the simulation clock.  Everything
 in the library — TaskTrackers, heartbeats, job arrivals, control intervals —
 is expressed as generator processes (:mod:`repro.simulation.process`)
 scheduled on a single :class:`Simulator`.
@@ -11,24 +11,22 @@ traces.  Ties at the same timestamp are broken by insertion order.
 
 Hot-path notes
 --------------
-``run()`` is the single hottest loop in the library — every simulated
-heartbeat, task phase, and control interval passes through it — so it is
-written against the heap's internals instead of composing ``step()`` calls:
-one Python frame per *run*, not per event.  Entries live in an
-:class:`~repro.simulation.heap.EventHeap` (indexed binary heap), which is
-what gives :meth:`Simulator.cancel` / :meth:`Simulator.reschedule` their
-O(log n) amortized cost without slowing the pop path.  ``step()`` remains
-the one-event-at-a-time API and dispatches identically.
+The queue is one ``heapq`` list of ``(time, priority, seq, event)`` tuples;
+``seq`` is a per-simulator counter, so entries sort by time, then priority,
+then insertion.  ``run()`` is the single hottest loop in the library — every
+simulated heartbeat, task phase, and control interval passes through it — so
+it pops the list directly and inlines :meth:`Event._dispatch` instead of
+composing ``step()`` calls: one Python frame per *run*, not per event.
+``step()`` remains the one-event-at-a-time API and dispatches identically.
 """
 
 from __future__ import annotations
 
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from ..observability.tracer import NULL_TRACER, EventType
-from .events import NO_CALLBACKS, AllOf, AnyOf, Event, SimulationError
-from .heap import EventHeap
+from .events import NO_CALLBACKS, Event, SimulationError
 from .process import Process
 
 __all__ = ["Simulator"]
@@ -59,26 +57,14 @@ class Simulator:
     5.0
     """
 
-    __slots__ = (
-        "_now",
-        "_heap",
-        "_hp_entries",
-        "_dispatched",
-        "_running",
-        "_stopped",
-        "tracer",
-    )
+    __slots__ = ("_now", "_queue", "_seq", "_dispatched", "_running", "tracer")
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap = EventHeap()
-        # Hot-path alias into the heap.  EventHeap mutates its entry list
-        # in place (never rebinds it), so this stays valid for the life of
-        # the simulator and saves an attribute hop per push.
-        self._hp_entries = self._heap._entries
+        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._seq = 0
         self._dispatched = 0
         self._running = False
-        self._stopped = False
         #: Observation hook; defaults to the no-op tracer (``enabled`` False),
         #: so untraced runs pay one attribute check per ``run()`` call only.
         self.tracer = NULL_TRACER
@@ -99,10 +85,8 @@ class Simulator:
 
         This is the most-constructed object in any run (every heartbeat,
         task phase, and shuffle wait is a timeout), so the event is built
-        slot-by-slot and pushed with ``EventHeap.push`` unrolled — the
-        kernel-internal inlining contract described in the module
-        docstring.  Semantically identical to ``Event(self)`` +
-        ``heap.push(...)``.
+        slot-by-slot and pushed inline.  Semantically identical to
+        ``Event(self)`` + a push at ``now + delay``.
         """
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
@@ -115,10 +99,8 @@ class Simulator:
         # ``_defused`` is deliberately left unset: it is only ever read
         # behind an ``_exception is not None`` guard, and a timeout event
         # is already triggered so ``fail()`` can never set an exception.
-        heap = self._heap
-        heap._seq = seq = heap._seq + 1
-        _heappush(self._hp_entries, (self._now + delay, PRIORITY_NORMAL, seq, event))
-        event._heap_seq = seq
+        self._seq = seq = self._seq + 1
+        _heappush(self._queue, (self._now + delay, PRIORITY_NORMAL, seq, event))
         return event
 
     def timeout_at(self, when: float, value: Any = None) -> Event:
@@ -137,23 +119,13 @@ class Simulator:
         event._value = value
         event._exception = None
         event._triggered = True
-        heap = self._heap
-        heap._seq = seq = heap._seq + 1
-        _heappush(self._hp_entries, (when, PRIORITY_NORMAL, seq, event))
-        event._heap_seq = seq
+        self._seq = seq = self._seq + 1
+        _heappush(self._queue, (when, PRIORITY_NORMAL, seq, event))
         return event
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Spawn a new process from ``generator`` and schedule its first step."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that succeeds when all ``events`` succeed."""
-        return AllOf(self, list(events))
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that succeeds when any of ``events`` succeeds."""
-        return AnyOf(self, list(events))
 
     def call_at(self, when: float, callback: Callable[[], None]) -> Event:
         """Run ``callback()`` at absolute simulation time ``when``."""
@@ -162,7 +134,8 @@ class Simulator:
         event = Event(self)
         event._triggered = True
         event.add_callback(lambda _e: callback())
-        event._heap_seq = self._heap.push(when, PRIORITY_NORMAL, event)
+        self._seq = seq = self._seq + 1
+        _heappush(self._queue, (when, PRIORITY_NORMAL, seq, event))
         return event
 
     # ------------------------------------------------------------- scheduling
@@ -170,61 +143,27 @@ class Simulator:
         """Queue an already-triggered event for callback dispatch *now*.
 
         Called for every ``succeed``/``fail`` — hot enough to warrant the
-        same ``EventHeap.push`` unrolling as :meth:`timeout`.
+        same inlined push as :meth:`timeout`.
         """
-        heap = self._heap
-        heap._seq = seq = heap._seq + 1
-        _heappush(self._hp_entries, (self._now, PRIORITY_URGENT, seq, event))
-        event._heap_seq = seq
-
-    def cancel(self, event: Event) -> bool:
-        """Remove a queued event so it never dispatches; False if not queued.
-
-        O(1) now, amortized O(log n) overall (lazy deletion in the indexed
-        heap).  Cancelling an event that already dispatched — or was never
-        scheduled — is a safe no-op, so cleanup code can cancel blindly.
-        """
-        seq = event._heap_seq
-        if seq is None or event._callbacks is None:
-            # Never queued / already cancelled (seq is None), or already
-            # dispatched (callbacks consumed): the handle is dead, and heap
-            # handles are single-use, so it must not reach heap.cancel.
-            return False
-        self._heap.cancel(seq)
-        event._heap_seq = None
-        return True
-
-    def reschedule(self, event: Event, when: float) -> None:
-        """Move a queued event to absolute time ``when`` (normal priority).
-
-        The event keeps its value/callbacks; only its position in the
-        timeline changes.  Raises if the event is not currently queued or
-        ``when`` is in the past.
-        """
-        if when < self._now:
-            raise ValueError(f"reschedule({when}) is in the past (now={self._now})")
-        seq = event._heap_seq
-        if seq is None or event._callbacks is None:
-            raise SimulationError("reschedule() on an event that is not queued")
-        event._heap_seq = self._heap.reschedule(seq, when, PRIORITY_NORMAL, event)
+        self._seq = seq = self._seq + 1
+        _heappush(self._queue, (self._now, PRIORITY_URGENT, seq, event))
 
     # --------------------------------------------------------------- run loop
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
-        entry = self._heap.peek()
-        return entry[0] if entry is not None else float("inf")
+        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event from the heap."""
-        if not self._heap:
-            raise SimulationError("step() on an empty event heap")
-        when, _priority, _seq, event = self._heap.pop()
+        """Process exactly one event from the queue."""
+        if not self._queue:
+            raise SimulationError("step() on an empty event queue")
+        when, _priority, _seq, event = _heappop(self._queue)
         self._now = when
         self._dispatched += 1
         event._dispatch()
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the heap drains or the clock reaches ``until``.
+        """Run until the queue drains or the clock reaches ``until``.
 
         When ``until`` is given, the clock is advanced to exactly ``until``
         even if the last event fires earlier, so periodic metrics windows
@@ -233,18 +172,14 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
         self._running = True
-        self._stopped = False
-        heap = self._heap
+        queue = self._queue
         if self.tracer.enabled:
             self.tracer.emit(
-                EventType.SIM_START, self._now, until=until, queued=len(heap)
+                EventType.SIM_START, self._now, until=until, queued=len(queue)
             )
-        # The loop below is ``step()`` unrolled against the heap internals:
-        # pop, skip tombstones, advance the clock, fire callbacks.  The
-        # aliases are stable — EventHeap mutates its containers in place —
-        # so cancellations made *by* callbacks are honoured mid-run.
-        entries = heap._entries
-        cancelled = heap._cancelled
+        # The loops below are ``step()`` unrolled: pop, advance the clock,
+        # fire callbacks.  ``queue`` is never rebound, so events pushed *by*
+        # callbacks land in the list being drained.
         heappop = _heappop
         dispatched = 0
         last_event_time = self._now
@@ -254,11 +189,8 @@ class Simulator:
                     raise ValueError(
                         f"run(until={until}) is in the past (now={self._now})"
                     )
-                while entries and entries[0][0] <= until:
-                    when, _priority, seq, event = heappop(entries)
-                    if cancelled and seq in cancelled:
-                        cancelled.discard(seq)
-                        continue
+                while queue and queue[0][0] <= until:
+                    when, _priority, _seq, event = heappop(queue)
                     self._now = when
                     dispatched += 1
                     # Inlined Event._dispatch (one frame per event saved).
@@ -272,22 +204,16 @@ class Simulator:
                             callbacks(event)
                     if event._exception is not None and not event._defused:
                         raise event._exception
-                    if self._stopped:
-                        break
             else:
                 # Same loop without the horizon check — run-to-drain is the
                 # common case.  Exhaustion is detected by the pop raising
                 # (free in 3.11+ until it fires) rather than a per-iteration
-                # liveness test, and ``stop()`` is honoured after dispatch,
-                # which is equivalent: the flag can only flip *during* one.
+                # liveness test.
                 while True:
                     try:
-                        when, _priority, seq, event = heappop(entries)
+                        when, _priority, _seq, event = heappop(queue)
                     except IndexError:
                         break
-                    if cancelled and seq in cancelled:
-                        cancelled.discard(seq)
-                        continue
                     self._now = when
                     dispatched += 1
                     callbacks = event._callbacks
@@ -302,10 +228,8 @@ class Simulator:
                         # Nobody waited on this failure: surface it so bugs
                         # do not pass silently (matches SimPy semantics).
                         raise event._exception
-                    if self._stopped:
-                        break
             last_event_time = self._now
-            if until is not None and not self._stopped:
+            if until is not None:
                 self._now = until
         finally:
             self._dispatched += dispatched
@@ -318,12 +242,8 @@ class Simulator:
                     last_event_time,
                     clock=self._now,
                     dispatched=self._dispatched,
-                    queued=len(heap),
+                    queued=len(queue),
                 )
 
-    def stop(self) -> None:
-        """Stop the run loop after the current event finishes dispatching."""
-        self._stopped = True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator t={self._now:.3f}s queued={len(self._heap)}>"
+        return f"<Simulator t={self._now:.3f}s queued={len(self._queue)}>"

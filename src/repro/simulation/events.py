@@ -14,9 +14,9 @@ schedulers, experiments) builds only on :class:`Event`,
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
-__all__ = ["Event", "ConditionEvent", "AllOf", "AnyOf", "SimulationError"]
+__all__ = ["Event", "SimulationError"]
 
 #: Shared sentinel for "pending, no callbacks registered yet".  ``_callbacks``
 #: holds one of: this tuple (pending, empty), a single callable (the common
@@ -28,7 +28,7 @@ NO_CALLBACKS: tuple = ()
 
 
 class SimulationError(RuntimeError):
-    """Raised for kernel-level misuse (double trigger, running stopped sim)."""
+    """Raised for kernel-level misuse (double trigger, re-entrant run)."""
 
 
 class Event:
@@ -54,7 +54,6 @@ class Event:
         "_exception",
         "_triggered",
         "_defused",
-        "_heap_seq",
     )
 
     def __init__(self, sim: "Simulator") -> None:  # noqa: F821 - circular typing
@@ -64,9 +63,6 @@ class Event:
         self._exception: Optional[BaseException] = None
         self._triggered = False
         self._defused = False
-        #: Handle of this event's entry in the simulator's indexed heap
-        #: while queued (set by the simulator; consumed by cancel).
-        self._heap_seq: Optional[int] = None
 
     # ------------------------------------------------------------------ state
     @property
@@ -159,51 +155,3 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self.processed else ("triggered" if self._triggered else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
-
-class ConditionEvent(Event):
-    """Base for events composed of several sub-events (``AllOf``/``AnyOf``)."""
-
-    def __init__(self, sim: "Simulator", events: List[Event]) -> None:  # noqa: F821
-        super().__init__(sim)
-        self.events = list(events)
-        self._remaining = len(self.events)
-        if not self.events:
-            self.succeed({})
-            return
-        for event in self.events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _collect_values(self) -> dict:
-        return {e: e._value for e in self.events if e.triggered and e.ok}
-
-
-class AllOf(ConditionEvent):
-    """Succeeds when *all* sub-events succeed; fails on the first failure."""
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            event.defuse()
-            self.fail(event._exception)  # type: ignore[arg-type]
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed(self._collect_values())
-
-
-class AnyOf(ConditionEvent):
-    """Succeeds when *any* sub-event succeeds; fails on the first failure."""
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            event.defuse()
-            self.fail(event._exception)  # type: ignore[arg-type]
-            return
-        self.succeed(self._collect_values())

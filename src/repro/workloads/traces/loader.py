@@ -92,45 +92,70 @@ def _coerce_row(path: Union[str, Path], line: int, raw: Dict[str, Any]) -> Trace
         raise _error(path, line, str(exc)) from None
 
 
+def _undecodable_line(path: Path) -> int:
+    """1-based number of the first line of ``path`` that is not UTF-8."""
+    with path.open("rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return 1
+
+
+def _lines(path: Path, newline: Optional[str] = None) -> Iterator[str]:
+    """Stream ``path`` as strict UTF-8 text lines.
+
+    The decoder works in chunks, so a bad byte can surface several lines
+    before the one holding it; the error path re-reads the file to name
+    the exact line.
+    """
+    try:
+        with path.open(encoding="utf-8", newline=newline) as handle:
+            yield from handle
+    except UnicodeDecodeError:
+        raise _error(path, _undecodable_line(path), "not valid UTF-8") from None
+    except OSError as exc:
+        raise _error(path, 1, f"cannot read: {exc.strerror or exc}") from None
+
+
 def _iter_csv(path: Path) -> Iterator[Tuple[int, Dict[str, Any]]]:
-    with path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames
-        if header is None:
-            return
-        unknown = sorted(set(header) - _KNOWN)
-        if unknown:
-            raise _error(path, 1, f"unknown column(s) {', '.join(unknown)}")
-        missing = sorted(_REQUIRED - set(header))
-        if missing:
-            raise _error(path, 1, f"missing required column(s) {', '.join(missing)}")
-        for row in reader:
-            if None in row:
-                raise _error(path, reader.line_num, "row has more cells than columns")
-            # Empty cells mean "use the schema default" for optional columns.
-            raw = {
-                key: value
-                for key, value in row.items()
-                if value is not None and value != ""
-            }
-            yield reader.line_num, raw
+    reader = csv.DictReader(_lines(path, newline=""))
+    header = reader.fieldnames
+    if header is None:
+        return
+    unknown = sorted(set(header) - _KNOWN)
+    if unknown:
+        raise _error(path, 1, f"unknown column(s) {', '.join(unknown)}")
+    missing = sorted(_REQUIRED - set(header))
+    if missing:
+        raise _error(path, 1, f"missing required column(s) {', '.join(missing)}")
+    for row in reader:
+        if None in row:
+            raise _error(path, reader.line_num, "row has more cells than columns")
+        # Empty cells mean "use the schema default" for optional columns.
+        raw = {
+            key: value
+            for key, value in row.items()
+            if value is not None and value != ""
+        }
+        yield reader.line_num, raw
 
 
 def _iter_jsonl(path: Path) -> Iterator[Tuple[int, Dict[str, Any]]]:
-    with path.open() as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                raw = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise _error(path, lineno, f"invalid JSON: {exc.msg}") from None
-            if not isinstance(raw, dict):
-                raise _error(
-                    path, lineno, f"expected a JSON object, got {type(raw).__name__}"
-                )
-            yield lineno, raw
+    for lineno, line in enumerate(_lines(path), start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise _error(path, lineno, f"invalid JSON: {exc.msg}") from None
+        if not isinstance(raw, dict):
+            raise _error(
+                path, lineno, f"expected a JSON object, got {type(raw).__name__}"
+            )
+        yield lineno, raw
 
 
 def load_trace(
@@ -191,14 +216,14 @@ def write_trace(spec: TraceSpec, destination: Union[str, Path]) -> Path:
     path = Path(destination)
     suffix = path.suffix.lower()
     if suffix == ".csv":
-        with path.open("w", newline="") as handle:
+        with path.open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(TRACE_COLUMNS)
             for job in spec.jobs:
                 row = job.to_json_dict()
                 writer.writerow(_csv_cell(row[column]) for column in TRACE_COLUMNS)
     elif suffix in (".jsonl", ".ndjson"):
-        with path.open("w") as handle:
+        with path.open("w", encoding="utf-8") as handle:
             for job in spec.jobs:
                 handle.write(json.dumps(job.to_json_dict(), sort_keys=True))
                 handle.write("\n")

@@ -511,3 +511,52 @@ class TestTraceDrivenSweep:
         assert len({closed, grid_hash(["--horizon", "150"]),
                     grid_hash(["--tracker-expiry", "45"])}) == 3
         assert grid_hash([]) == closed
+
+
+class TestHostileFiles:
+    """Bytes that are not UTF-8 get a diagnostic, never a traceback."""
+
+    def _one_error_line(self, capsys, fragment):
+        err = capsys.readouterr().err
+        assert fragment in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_csv_trace(self, capsys, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"job_id,arrival_time,task_count\n0,0.0,4\n1,1.0,\xff4\n")
+        assert main(["workload", "validate", str(path)]) == 2
+        self._one_error_line(capsys, f"{path}:3: error: not valid UTF-8")
+
+    def test_jsonl_trace(self, capsys, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b'{"job_id": 0, "arrival_time": \xff0.0, "task_count": 4}\n')
+        assert main(["run", "--trace", str(path)]) == 2
+        self._one_error_line(capsys, f"{path}:1: error: not valid UTF-8")
+
+    def test_fault_plan(self, capsys, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_bytes(b'{"events": [\xff]}\n')
+        assert main(["run", "--jobs", "grep:1", "--faults", str(path)]) == 2
+        self._one_error_line(capsys, "cannot read fault plan")
+
+    def test_spool_line_is_redone(self, capsys, tmp_path):
+        spool = tmp_path / "s.jsonl"
+        sweep = ["sweep", "--jobs", "grep:0.5", "--seeds", "0",
+                 "--schedulers", "fifo", "fair", "--workers", "1",
+                 "--no-cache", "--spool", str(spool)]
+        assert main(sweep) == 0
+        lines = spool.read_bytes().splitlines(keepends=True)
+        lines[0] = lines[0][:40] + b"\xff" + lines[0][41:]
+        spool.write_bytes(b"".join(lines))
+        capsys.readouterr()
+
+        assert main(["sweep-merge", str(spool)]) == 0
+        self._one_error_line(capsys, f"{spool}:1: warning: not valid UTF-8")
+
+        assert main(sweep) == 0
+        captured = capsys.readouterr()
+        summary = captured.out.strip().splitlines()[-1]
+        assert summary.endswith("1 damaged spool lines redone")
+        assert f"{spool}:1: warning: not valid UTF-8" in captured.err
+        assert "Traceback" not in captured.err

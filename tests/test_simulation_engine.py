@@ -84,13 +84,6 @@ class TestClock:
 
 
 class TestRunLoop:
-    def test_stop_halts_loop(self, sim):
-        fired = []
-        sim.call_at(1.0, lambda: (fired.append(1), sim.stop()))
-        sim.call_at(2.0, lambda: fired.append(2))
-        sim.run()
-        assert fired == [1]
-
     def test_step_on_empty_heap_raises(self, sim):
         with pytest.raises(SimulationError):
             sim.step()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulation import AllOf, AnyOf, Event, SimulationError, Simulator
+from repro.simulation import SimulationError, Simulator
 
 
 @pytest.fixture
@@ -67,37 +67,3 @@ class TestEvent:
         event.succeed()
         sim.run()
         assert order == [1, 2]
-
-
-class TestConditions:
-    def test_all_of_waits_for_every_event(self, sim):
-        a, b = sim.event(), sim.event()
-        combined = sim.all_of([a, b])
-        a.succeed(1)
-        sim.run()
-        assert not combined.triggered
-        b.succeed(2)
-        sim.run()
-        assert combined.ok
-        assert combined.value == {a: 1, b: 2}
-
-    def test_any_of_fires_on_first(self, sim):
-        a, b = sim.event(), sim.event()
-        combined = sim.any_of([a, b])
-        b.succeed("fast")
-        sim.run()
-        assert combined.ok
-        assert combined.value == {b: "fast"}
-
-    def test_all_of_empty_is_immediate(self, sim):
-        combined = sim.all_of([])
-        assert combined.triggered
-
-    def test_all_of_propagates_failure(self, sim):
-        a, b = sim.event(), sim.event()
-        combined = sim.all_of([a, b])
-        combined.defuse()
-        a.fail(ValueError("bad"))
-        sim.run()
-        assert combined.triggered
-        assert not combined.ok

@@ -157,6 +157,22 @@ class TestDamageTolerance:
         }
         assert [w.split(" warning:")[0] for w in warnings] == [f"{path}:2:"]
 
+    def test_undecodable_line_is_skipped_others_survive(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        write_spool(path, [tiny_record(0)])
+        with open(path, "ab") as handle:
+            handle.write(b'{"v": 1, "spec": "\xff"}\n')
+        write_spool(path, [tiny_record(1)])
+
+        warnings: list = []
+        completed = ResultSpool(path).completed(warnings.append)
+        assert set(completed) == {
+            tiny_record(0).spec_hash,
+            tiny_record(1).spec_hash,
+        }
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"{path}:2: warning: not valid UTF-8")
+
     def test_duplicate_spec_hash_keeps_first(self, tmp_path):
         path = tmp_path / "s.jsonl"
         write_spool(path, [tiny_record(0), tiny_record(0)])

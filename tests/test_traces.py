@@ -15,6 +15,7 @@ Four seams under test:
   cuts at the horizon and accounts for the backlog deterministically.
 """
 
+import json
 import math
 
 import pytest
@@ -255,6 +256,25 @@ class TestMalformedFiles:
 
     def test_missing_file(self, tmp_path):
         self._expect(tmp_path / "absent.csv", 1, "no such file")
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_undecodable_byte_names_its_line(self, suffix, tmp_path):
+        # Far past the first decoder chunk, so the line number cannot come
+        # from where the text decoder happened to fail.
+        rows = [{"job_id": i, "arrival_time": float(i), "task_count": 1}
+                for i in range(2000)]
+        if suffix == ".csv":
+            lines = ["job_id,arrival_time,task_count"] + [
+                f"{r['job_id']},{r['arrival_time']},{r['task_count']}" for r in rows
+            ]
+        else:
+            lines = [json.dumps(r) for r in rows]
+        data = ("\n".join(lines) + "\n").encode()
+        bad_line = 1500
+        offset = sum(len(line) + 1 for line in lines[: bad_line - 1])
+        path = tmp_path / f"t{suffix}"
+        path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+        self._expect(path, bad_line, "not valid UTF-8")
 
     def test_unsupported_suffix(self, tmp_path):
         path = tmp_path / "t.parquet"
