@@ -2,12 +2,13 @@
 
 The kernel and assignment-loop optimizations (the inlined run loop and
 event factories, memoized pheromone normalizers, cached slot totals,
-gated tracker-expiry sweeps, idle-heartbeat parking, batched energy
-integration) are all *pure* transformations: they must compute exactly
-the same floating-point expressions in the same order as the
-straightforward code they replaced, so every simulation stays
-bit-identical.  This module keeps the straightforward code alive as the
-executable specification of that contract.
+gated tracker-expiry sweeps, idle-heartbeat parking, the no-work
+heartbeat short-circuit, batched energy integration) are all *pure*
+transformations: they must compute exactly the same floating-point
+expressions in the same order as the straightforward code they
+replaced, so every simulation stays bit-identical.  This module keeps
+the straightforward code alive as the executable specification of that
+contract.
 
 :func:`reference_mode` swaps the naive implementations in (monkey-style,
 on the classes themselves) for the duration of a ``with`` block; the
@@ -23,7 +24,8 @@ on every query, ``total_slots`` re-sums the fleet, the simulator run
 loop composes :meth:`Simulator.step` one frame per event and every push
 goes through one ``heappush`` helper, the expiry sweep scans every
 tracker on every heartbeat, every TaskTracker heartbeats every interval
-(no idle parking), and the energy integrator goes through the
+(no idle parking), every heartbeat enters the policy's ``select_tasks``
+(no no-work short-circuit), and the energy integrator goes through the
 :class:`PowerModel` helper methods.
 """
 
@@ -44,6 +46,7 @@ from ..simulation.engine import PRIORITY_NORMAL, PRIORITY_URGENT, Simulator
 from ..simulation.events import Event, SimulationError
 from .pheromone import ColonyKey, PheromoneTable
 from .scheduler import EAntScheduler
+from .service import LocalSchedulerCore
 
 __all__ = ["reference_mode", "REFERENCE_PATCHES"]
 
@@ -236,6 +239,11 @@ def _reference_park_idle(self: JobTracker, tracker, status, assignments) -> None
     """Heartbeat every ``heartbeat_interval``: no tracker ever parks."""
 
 
+def _reference_select_tasks(self: LocalSchedulerCore, status) -> list:
+    """Every heartbeat enters the policy, with or without work."""
+    return self.scheduler.select_tasks(status)
+
+
 # ------------------------------------------------------------------ energy
 def _reference_machine_advance(self: Machine) -> None:
     """Close the utilization/energy window unconditionally (no zero-length
@@ -281,6 +289,7 @@ REFERENCE_PATCHES: Dict[Tuple[type, str], Any] = {
     (Simulator, "run"): _reference_run,
     (JobTracker, "_expire_dead_trackers"): _reference_expire_dead_trackers,
     (JobTracker, "_park_idle"): _reference_park_idle,
+    (LocalSchedulerCore, "_select_tasks"): _reference_select_tasks,
     (Machine, "_advance"): _reference_machine_advance,
     (EnergyAccumulator, "advance"): _reference_energy_advance,
 }

@@ -15,10 +15,14 @@ driven by two very different hosts without drifting apart:
 
 :class:`SchedulerCore` is the protocol; :class:`LocalSchedulerCore` is the
 in-process implementation wrapping a bound
-:class:`~repro.schedulers.base.Scheduler`.  The request/response types are
-frozen dataclasses holding nothing but plain data — no event heap, no
-``Simulator``, no tracker objects — and every type round-trips through
-``to_wire``/``from_wire`` JSON-safe dicts.
+:class:`~repro.schedulers.base.Scheduler`.  The request/response types
+hold nothing but plain data — no event heap, no ``Simulator``, no tracker
+objects — and every type round-trips through ``to_wire``/``from_wire``
+JSON-safe dicts.  The three built per wire heartbeat
+(:class:`HeartbeatRequest`, :class:`TaskDirective`,
+:class:`AssignmentResponse`) are ``NamedTuple`` classes, like
+``TrackerStatus``: immutable and hashable, without the per-field
+``object.__setattr__`` a frozen dataclass pays on construction.
 
 Import discipline
 -----------------
@@ -26,9 +30,10 @@ Import discipline
 package init imports :mod:`repro.core.scheduler`, which imports
 ``repro.hadoop`` — so this module must not import ``repro.hadoop`` (or
 anything that does) at module scope, or either import order would hit a
-half-initialized module.  The few hadoop types needed at runtime
-(``TrackerStatus``, ``TaskKind``) are imported lazily inside functions;
-after interpreter warm-up those are dictionary hits.
+half-initialized module.  Hadoop types appear here only as annotations;
+the one runtime import from a sibling layer
+(:class:`~repro.energy.model.UtilizationSample`) is made lazily inside
+:func:`report_fields_from_wire`.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Protocol,
     Tuple,
@@ -122,6 +128,13 @@ def _non_negative(key: str, value: Any) -> Any:
 
 
 def _require_count(mapping: Dict[str, Any], key: str) -> int:
+    try:
+        value = mapping[key]
+    except KeyError:
+        value = None
+    if type(value) is int and value >= 0:
+        return value  # fast path: the plain JSON count every heartbeat carries
+    # Everything else takes the full check, which names the fault.
     return _non_negative(key, _require(mapping, key, int))
 
 
@@ -160,9 +173,12 @@ class TrackerInfo:
         )
 
 
-@dataclass(frozen=True)
-class HeartbeatRequest:
-    """One TaskTracker heartbeat: a slot snapshot at a point in time."""
+class HeartbeatRequest(NamedTuple):
+    """One TaskTracker heartbeat: a slot snapshot at a point in time.
+
+    Carries every ``TrackerStatus`` field under the same name, so the core
+    hands it to the policy as the status itself.
+    """
 
     machine_id: int
     now: float
@@ -182,19 +198,21 @@ class HeartbeatRequest:
         }
 
     @classmethod
-    def from_wire(cls, data: Dict[str, Any]) -> "HeartbeatRequest":
+    def from_wire(
+        cls, data: Dict[str, Any], now: Optional[float] = None
+    ) -> "HeartbeatRequest":
+        """Validate a wire heartbeat; a host-stamped ``now`` replaces its own."""
         return cls(
-            machine_id=_require_count(data, "machine_id"),
-            now=_require(data, "now", float),
-            free_map_slots=_require_count(data, "free_map_slots"),
-            free_reduce_slots=_require_count(data, "free_reduce_slots"),
-            running_maps=_require_count(data, "running_maps"),
-            running_reduces=_require_count(data, "running_reduces"),
+            _require_count(data, "machine_id"),
+            _require(data, "now", float) if now is None else now,
+            _require_count(data, "free_map_slots"),
+            _require_count(data, "free_reduce_slots"),
+            _require_count(data, "running_maps"),
+            _require_count(data, "running_reduces"),
         )
 
 
-@dataclass(frozen=True)
-class TaskDirective:
+class TaskDirective(NamedTuple):
     """One task assignment in a heartbeat response.
 
     Carries everything a remote TaskTracker needs to launch the work:
@@ -228,8 +246,7 @@ class TaskDirective:
         )
 
 
-@dataclass(frozen=True)
-class AssignmentResponse:
+class AssignmentResponse(NamedTuple):
     """The reply to one heartbeat: zero or more task directives."""
 
     machine_id: int
@@ -433,7 +450,9 @@ class LocalSchedulerCore:
         ``JobTracker.heartbeat``: stride-sampled ``select_tasks`` timing,
         the Eq. 1 slot-constraint audit, and per-model assignment
         counters.  ``now`` only feeds instrumentation — the scheduler
-        reads its own clock through its binding.
+        reads its own clock through its binding.  ``status`` may be any
+        object with the ``TrackerStatus`` fields (a wire
+        :class:`HeartbeatRequest` has them all).
         """
         self.heartbeats_handled += 1
         sink = self.telemetry
@@ -447,14 +466,14 @@ class LocalSchedulerCore:
             if tick < 0:
                 self._select_tick = SAMPLE_STRIDE - 1
                 started = perf_counter()
-                assignments = self.scheduler.select_tasks(status)
+                assignments = self._select_tasks(status)
                 sink.observe_heartbeat(perf_counter() - started, len(assignments))
             else:
                 self._select_tick = tick
-                assignments = self.scheduler.select_tasks(status)
+                assignments = self._select_tasks(status)
                 sink.observe_batch(len(assignments))
         else:
-            assignments = self.scheduler.select_tasks(status)
+            assignments = self._select_tasks(status)
         maps = reduces = 0
         if assignments:  # empty heartbeats (the common case at scale) skip the audit
             maps = sum(1 for t in assignments if t.is_map)
@@ -510,33 +529,31 @@ class LocalSchedulerCore:
             )
         return assignments
 
+    def _select_tasks(self, status: "TrackerStatus") -> List["Task"]:
+        """The policy's decision, skipped while no job has work.
+
+        ``may_assign()`` False promises that ``select_tasks`` would be a
+        no-op, so the no-work heartbeats that dominate an idle cluster
+        never enter the policy (``reference_mode()`` always enters it).
+        """
+        scheduler = self.scheduler
+        if scheduler.may_assign():
+            return scheduler.select_tasks(status)
+        return []
+
     def heartbeat(self, request: HeartbeatRequest) -> AssignmentResponse:
         """Protocol entry: plain-data heartbeat in, plain-data response out."""
-        from ..hadoop.tasktracker import TrackerStatus
-
-        status = TrackerStatus(
-            machine_id=request.machine_id,
-            free_map_slots=request.free_map_slots,
-            free_reduce_slots=request.free_reduce_slots,
-            running_maps=request.running_maps,
-            running_reduces=request.running_reduces,
-        )
-        tasks = self.select(status, request.now)
+        tasks = self.select(request, request.now)
+        if not tasks:
+            return AssignmentResponse(request.machine_id, request.now)
         live = self._live
         directives = []
         for task in tasks:
             live[task.task_id] = task
             directives.append(
-                TaskDirective(
-                    task_id=task.task_id,
-                    job_id=task.job.job_id,
-                    kind=task.kind.value,
-                    input_mb=task.input_mb,
-                )
+                TaskDirective(task.task_id, task.job.job_id, task.kind.value, task.input_mb)
             )
-        return AssignmentResponse(
-            machine_id=request.machine_id, now=request.now, directives=tuple(directives)
-        )
+        return AssignmentResponse(request.machine_id, request.now, tuple(directives))
 
     def resolve(self, task_id: str) -> "Task":
         """Look up a live task previously assigned through :meth:`heartbeat`."""

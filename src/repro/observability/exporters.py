@@ -75,10 +75,17 @@ def iter_jsonl(path: Union[str, Path]) -> Iterator[TraceEvent]:
 
     Raises ``ValueError`` with a ``path:line`` location on a truncated or
     corrupt line, exactly like :func:`read_jsonl` — but everything parsed
-    before the bad line has already been yielded.
+    before the bad line has already been yielded.  Each line is decoded
+    on its own, so bytes that are not UTF-8 are named by their line too.
     """
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
+    with Path(path).open("rb") as handle:
+        for line_number, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as error:
+                raise ValueError(
+                    f"{path}:{line_number}: not valid UTF-8 (byte {error.start})"
+                ) from None
             event = _parse_line(path, line_number, line)
             if event is not None:
                 yield event

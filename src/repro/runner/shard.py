@@ -142,9 +142,14 @@ def load_manifest(path: Union[str, Path]) -> ShardManifest:
     """Read a manifest written by :meth:`ShardManifest.write`."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        raw = path.read_bytes()
     except OSError as error:
         raise ShardError(f"cannot read manifest {path}: {error}") from None
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as error:
+        line = raw.count(b"\n", 0, error.start) + 1
+        raise ShardError(f"{path}:{line}: not valid UTF-8") from None
     except ValueError as error:
         raise ShardError(f"{path}: not valid JSON: {error}") from None
     if not isinstance(data, dict):

@@ -201,10 +201,12 @@ class ServeEngine:
         return {"type": "ok", "machine_id": info.machine_id}
 
     def _handle_heartbeat(self, message: Dict[str, Any], now: float) -> Dict[str, Any]:
-        request = HeartbeatRequest.from_wire({**message, "now": now})
-        info = self.core.trackers.get(request.machine_id)
+        request = HeartbeatRequest.from_wire(message, now)
+        machine_id = request.machine_id
+        core = self.core
+        info = core.trackers.get(machine_id)
         if info is None:
-            raise WireError(f"machine_id {request.machine_id} has not registered")
+            raise WireError(f"machine_id {machine_id} has not registered")
         if request.free_map_slots > info.map_slots or request.free_reduce_slots > info.reduce_slots:
             raise WireError(
                 f"{info.hostname} offered more slots than it registered "
@@ -212,16 +214,22 @@ class ServeEngine:
                 f"{request.free_reduce_slots}/{info.reduce_slots} reduce)"
             )
         self._pump(now)
-        self.jobtracker.last_heartbeat[request.machine_id] = now
+        self.jobtracker.last_heartbeat[machine_id] = now
         started = perf_counter()
-        response = self.core.heartbeat(request)
+        response = core.heartbeat(request)
         self.decision_latency.observe(perf_counter() - started)
         # Mirror TaskTracker.launch's bookkeeping: the assignment opens an
         # attempt; the remote tracker's eventual report closes it.
-        for directive in response.directives:
-            task = self.core.resolve(directive.task_id)
-            task.new_attempt(request.machine_id, now)
-        return {"type": "assignment", **response.to_wire()}
+        directives = response.directives
+        for directive in directives:
+            core.resolve(directive.task_id).new_attempt(machine_id, now)
+        # One reply dict: the response's wire form with the message type first.
+        return {
+            "type": "assignment",
+            "machine_id": response.machine_id,
+            "now": response.now,
+            "directives": [directive.to_wire() for directive in directives],
+        }
 
     def _handle_report(self, message: Dict[str, Any], now: float) -> Dict[str, Any]:
         fields = report_fields_from_wire(message)

@@ -1,6 +1,6 @@
 """Round-trip property tests for the SchedulerCore wire types.
 
-Every request/response dataclass must survive
+Every request/response type must survive
 ``from_wire(json.loads(json.dumps(to_wire(x)))) == x`` — that is the
 contract that lets the daemon and its clients speak JSON without a
 schema compiler.  Malformed wire dicts must raise :class:`WireError`
@@ -86,12 +86,37 @@ class TestRoundTrips:
         rebuilt = AssignmentResponse.from_wire(json_round_trip(response.to_wire()))
         assert rebuilt == response
 
+    @given(directives)
+    def test_task_directive(self, directive):
+        assert TaskDirective.from_wire(json_round_trip(directive.to_wire())) == directive
+
     @given(heartbeats)
     def test_wire_form_is_json_safe(self, request):
         # No dataclasses, tuples, or floats-as-keys may leak into the wire
         # form; json.dumps is the arbiter.
         encoded = json.dumps(request.to_wire())
         assert isinstance(encoded, str)
+
+
+class TestValueSemantics:
+    """Equal values hash equal (usable as keys) and no field can be rebound."""
+
+    @given(st.one_of(heartbeats, directives, responses))
+    def test_hashable(self, value):
+        copy = type(value).from_wire(json_round_trip(value.to_wire()))
+        assert hash(copy) == hash(value)
+        assert len({value, copy}) == 1
+
+    @given(st.one_of(heartbeats, directives, responses))
+    def test_immutable(self, value):
+        field = next(iter(value.to_wire()))
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_response_directives_default_to_empty(self):
+        assert AssignmentResponse(machine_id=0, now=0.0).directives == ()
 
 
 class TestValidation:

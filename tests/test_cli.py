@@ -540,6 +540,54 @@ class TestHostileFiles:
         assert main(["run", "--jobs", "grep:1", "--faults", str(path)]) == 2
         self._one_error_line(capsys, "cannot read fault plan")
 
+    def _manifest_with_bad_byte(self, tmp_path):
+        from repro.runner import ShardManifest
+
+        path = ShardManifest(
+            grid_digest="a" * 64, shard_count=1, shard_index=0,
+            spec_hashes=("b" * 64,), grid_size=1,
+        ).write(tmp_path / "m.json")
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) > 3
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"".join(lines))
+        return path
+
+    def test_shard_manifest_check(self, capsys, tmp_path):
+        path = self._manifest_with_bad_byte(tmp_path)
+        spool = tmp_path / "s.jsonl"
+        spool.write_text("")
+        assert main(["sweep-merge", str(spool), "--check-manifest", str(path)]) == 2
+        self._one_error_line(capsys, f"{path}:3: not valid UTF-8")
+
+    def test_shard_manifest_keep(self, capsys, tmp_path):
+        path = self._manifest_with_bad_byte(tmp_path)
+        assert main(["cache", "gc", "--cache-dir", str(tmp_path / "cache"),
+                     "--max-size-mb", "1", "--keep-manifest", str(path)]) == 2
+        self._one_error_line(capsys, f"{path}:3: not valid UTF-8")
+
+    def _trace_with_bad_byte_on_line_301(self, tmp_path):
+        from repro.observability import write_jsonl
+        from repro.observability.tracer import EventType, TraceEvent
+
+        path = tmp_path / "t.jsonl"
+        write_jsonl([TraceEvent(float(i), EventType.HEARTBEAT, {"machine_id": 0})
+                     for i in range(400)], path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[300] = lines[300][:10] + b"\xff" + lines[300][10:]
+        path.write_bytes(b"".join(lines))
+        return path
+
+    def test_jsonl_trace_summary(self, capsys, tmp_path):
+        path = self._trace_with_bad_byte_on_line_301(tmp_path)
+        assert main(["trace", str(path)]) == 2
+        self._one_error_line(capsys, f"{path}:301: not valid UTF-8 (byte 10)")
+
+    def test_jsonl_trace_report(self, capsys, tmp_path):
+        path = self._trace_with_bad_byte_on_line_301(tmp_path)
+        assert main(["report", str(path)]) == 2
+        self._one_error_line(capsys, f"{path}:301: not valid UTF-8 (byte 10)")
+
     def test_spool_line_is_redone(self, capsys, tmp_path):
         spool = tmp_path / "s.jsonl"
         sweep = ["sweep", "--jobs", "grep:0.5", "--seeds", "0",

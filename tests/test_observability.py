@@ -1,5 +1,7 @@
 """Unit tests for the observability package: tracer, audit, metrics, exporters."""
 
+import re
+
 import pytest
 
 from repro.observability import (
@@ -12,6 +14,7 @@ from repro.observability import (
     TraceEvent,
     Tracer,
     flame_summary,
+    iter_jsonl,
     read_jsonl,
     trace_summary,
     write_jsonl,
@@ -135,6 +138,16 @@ class TestExporters:
         path.write_text('{"type": "heartbeat"}\n')
         with pytest.raises(ValueError, match="missing"):
             read_jsonl(path)
+
+    def test_iter_jsonl_names_the_undecodable_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = b'{"t": 1.0, "type": "heartbeat"}\n'
+        path.write_bytes(good * 300 + b'{"t": 2.0, "type": "\xffheartbeat"}\n' + good)
+        events = iter_jsonl(path)
+        for _ in range(300):
+            next(events)  # every line before the bad one is yielded
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:301: not valid UTF-8"):
+            next(events)
 
     def test_trace_summary_mentions_header_and_counts(self):
         text = trace_summary(self._events())
