@@ -34,7 +34,6 @@ from .core import (
     ExchangeLevel,
     HeartbeatRequest,
     LocalSchedulerCore,
-    SchedulerCore,
     TaskDirective,
     TrackerInfo,
     WireError,
@@ -137,7 +136,6 @@ __all__ = [
     "EAntConfig",
     "ExchangeLevel",
     # the scheduler service core (transport-agnostic seam)
-    "SchedulerCore",
     "LocalSchedulerCore",
     "TrackerInfo",
     "HeartbeatRequest",

@@ -502,8 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         parents=[_scheduler_flags()],
         help="serve the scheduler core as an NDJSON heartbeat daemon",
-        description="Run the SchedulerCore behind an asyncio NDJSON server "
-        "(see docs/serving.md).  With --loadgen, additionally drive it "
+        description="Run the scheduler core behind an asyncio NDJSON server "
+        "(see docs/serving.md); each message stamps the daemon's scaled "
+        "wall clock, and a control interval fires when that clock passes "
+        "its deadline.  With --loadgen, additionally drive it "
         "with open-loop synthetic heartbeats and print the measured "
         "throughput/latency summary; with --bench, run the daemon in a "
         "subprocess and measure the BENCH_serve.json throughput gate.",
@@ -530,9 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--time-scale",
         type=float,
         metavar="X",
-        help="simulated seconds per wall second (control intervals fire "
-        "every 300/X wall seconds; default 1.0 = real time, or 600 under "
-        "--loadgen/--bench so intervals fire within a short run)",
+        help="simulated seconds per wall second (a control interval fires "
+        "on the first message after each 300 simulated seconds, i.e. about "
+        "every 300/X wall seconds under steady traffic; default 1.0 = real "
+        "time, or 600 under --loadgen/--bench so intervals fire within a "
+        "short run)",
     )
     serve.add_argument(
         "--loadgen",

@@ -20,7 +20,6 @@ from .service import (
     AssignmentResponse,
     HeartbeatRequest,
     LocalSchedulerCore,
-    SchedulerCore,
     TaskDirective,
     TrackerInfo,
     WireError,
@@ -29,7 +28,6 @@ from .service import (
 __all__ = [
     "EAntScheduler",
     "EAntConfig",
-    "SchedulerCore",
     "LocalSchedulerCore",
     "TrackerInfo",
     "HeartbeatRequest",

@@ -13,8 +13,7 @@ driven by two very different hosts without drifting apart:
 * the :mod:`repro.serve` asyncio daemon, which feeds it heartbeats parsed
   off newline-delimited JSON sockets.
 
-:class:`SchedulerCore` is the protocol; :class:`LocalSchedulerCore` is the
-in-process implementation wrapping a bound
+:class:`LocalSchedulerCore` is that core, wrapping a bound
 :class:`~repro.schedulers.base.Scheduler`.  The request/response types
 hold nothing but plain data — no event heap, no ``Simulator``, no tracker
 objects — and every type round-trips through ``to_wire``/``from_wire``
@@ -49,9 +48,7 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Protocol,
     Tuple,
-    runtime_checkable,
 )
 
 from ..observability.metrics import Counter, MetricsRegistry
@@ -68,7 +65,6 @@ __all__ = [
     "HeartbeatRequest",
     "TaskDirective",
     "AssignmentResponse",
-    "SchedulerCore",
     "LocalSchedulerCore",
     "task_report_to_wire",
     "report_fields_from_wire",
@@ -270,27 +266,9 @@ class AssignmentResponse(NamedTuple):
         )
 
 
-@runtime_checkable
-class SchedulerCore(Protocol):
-    """The transport-agnostic scheduling surface.
-
-    Implementations hold whatever policy state they like, but the
-    interface is plain data end to end: hosts (the DES JobTracker, the
-    asyncio daemon, tests) translate their native events into these four
-    calls and nothing else.
-    """
-
-    def register_tracker(self, info: TrackerInfo) -> None:
-        """Announce a TaskTracker (idempotent; re-registration updates)."""
-
-    def heartbeat(self, request: HeartbeatRequest) -> AssignmentResponse:
-        """Answer one heartbeat with task directives (Eqs. 3-8)."""
-
-    def task_report(self, report: "TaskReport") -> None:
-        """Feed one completed attempt back (the Eq. 2 energy feedback)."""
-
-    def advance_time(self, now: float) -> None:
-        """Fire any control-interval ticks due at or before ``now``."""
+def _directive(task: "Task") -> TaskDirective:
+    """The directive that launches ``task`` on the tracker it was assigned to."""
+    return TaskDirective(task.task_id, task.job.job_id, task.kind.value, task.input_mb)
 
 
 def task_report_to_wire(report: "TaskReport") -> Dict[str, Any]:
@@ -352,7 +330,7 @@ def report_fields_from_wire(data: Dict[str, Any]) -> Dict[str, Any]:
 
 
 class LocalSchedulerCore:
-    """In-process :class:`SchedulerCore` wrapping a bound scheduler.
+    """The transport-agnostic scheduler core, wrapping a bound scheduler.
 
     Owns exactly the state that is *about deciding*: the per-model
     assignment/completion counters, the stride-sampled ``select_tasks``
@@ -505,26 +483,19 @@ class LocalSchedulerCore:
                     self._assignment_counters[key] = counter
                 counter.inc()
         if self._tap is not None:
+            request = HeartbeatRequest(
+                status.machine_id,
+                now,
+                status.free_map_slots,
+                status.free_reduce_slots,
+                status.running_maps,
+                status.running_reduces,
+            )
             self._tap(
                 {
                     "type": "heartbeat",
-                    "request": {
-                        "machine_id": status.machine_id,
-                        "now": now,
-                        "free_map_slots": status.free_map_slots,
-                        "free_reduce_slots": status.free_reduce_slots,
-                        "running_maps": status.running_maps,
-                        "running_reduces": status.running_reduces,
-                    },
-                    "directives": [
-                        {
-                            "task_id": t.task_id,
-                            "job_id": t.job.job_id,
-                            "kind": t.kind.value,
-                            "input_mb": t.input_mb,
-                        }
-                        for t in assignments
-                    ],
+                    "request": request.to_wire(),
+                    "directives": [_directive(t).to_wire() for t in assignments],
                 }
             )
         return assignments
@@ -550,9 +521,7 @@ class LocalSchedulerCore:
         directives = []
         for task in tasks:
             live[task.task_id] = task
-            directives.append(
-                TaskDirective(task.task_id, task.job.job_id, task.kind.value, task.input_mb)
-            )
+            directives.append(_directive(task))
         return AssignmentResponse(request.machine_id, request.now, tuple(directives))
 
     def resolve(self, task_id: str) -> "Task":
@@ -591,9 +560,10 @@ class LocalSchedulerCore:
         The deadline accumulates by repeated addition — exactly how the
         DES control loop's ``timeout`` chain accumulates — so a DES host
         calling this once per loop iteration fires on bit-identical
-        floats.  A wall-clock host that slept long fires all missed ticks
-        in order.  ``on_interval`` (if given) runs before each scheduler
-        tick with the 1-based interval index — the DES host's trace hook.
+        floats.  A clock that jumps several intervals (a late ``tick``
+        message) fires all missed ticks in order.  ``on_interval`` (if
+        given) runs before each scheduler tick with the 1-based interval
+        index — the DES host's trace hook.
         """
         while self._next_deadline <= now:
             self.interval_index += 1

@@ -7,10 +7,11 @@ surface the paper modifies in Hadoop 1.2.1 (Section V-A).  The DES is one
 *host* of that core (the :mod:`repro.serve` daemon is the other): this
 module keeps the host concerns — the sim clock, heartbeat bookkeeping,
 lazy tracker expiry, parking idle trackers, trace emission — and the
-core keeps the decision concerns.  It also drives the periodic control-interval tick E-Ant's
-adaptive task assigner re-optimizes on, and fans completed-task reports
-out to the scheduler and any registered listeners (metrics collectors,
-task analyzers).
+core keeps the decision concerns.  It also drives the periodic
+control-interval tick E-Ant's adaptive task assigner re-optimizes on (a
+timeout chain on the sim clock, under either host), and fans
+completed-task reports out to the scheduler and any registered listeners
+(metrics collectors, task analyzers).
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ class JobTracker:
         rng: Optional[np.random.Generator] = None,
         tracer=NULL_TRACER,
         registry: Optional[MetricsRegistry] = None,
-        control_loop: bool = True,
     ) -> None:
         self.sim = sim
         #: Trace sink shared with the trackers and the scheduler; the no-op
@@ -102,10 +102,6 @@ class JobTracker:
             registry=registry,
             start_time=sim.now,
         )
-        #: Whether :meth:`start_control_loop` actually spawns the periodic
-        #: sim process.  Hosts that drive :meth:`control_tick` themselves
-        #: (the serve engine) pass ``control_loop=False``.
-        self._control_loop_enabled = control_loop
         self.cluster = cluster
         self.config = config
         self.scheduler = scheduler
@@ -208,13 +204,8 @@ class JobTracker:
         return self._shutdown
 
     def start_control_loop(self) -> None:
-        """Begin the periodic control-interval tick (idempotent).
-
-        A no-op when the JobTracker was built with ``control_loop=False``
-        — hosts that pump the clock themselves call :meth:`control_tick`
-        at their own cadence instead.
-        """
-        if self._control_loop_enabled and self._interval_process is None:
+        """Begin the periodic control-interval tick (idempotent)."""
+        if self._interval_process is None:
             self._interval_process = self.sim.process(
                 self._control_loop(), name="jt-control-loop"
             )
@@ -264,14 +255,7 @@ class JobTracker:
             map_input_sizes=sizes,
             replica_hosts=replica_hosts,
         )
-        self.jobs[job_id] = job
-        self.active_jobs.append(job)
-        job.done_event.add_callback(lambda _e, j=job: self._job_done(j))
-        if self.tracer.enabled:
-            self._trace_job_submitted(job)
-        self.core.job_added(job)
-        self._work_appeared()
-        return job
+        return self.submit_prepared(job)
 
     def _trace_job_submitted(self, job: Job) -> None:
         self.tracer.emit(

@@ -62,8 +62,10 @@ from typing import (
     Tuple,
     Union,
 )
+from zipfile import BadZipFile
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from .metrics import Histogram, MetricsRegistry
 from .profiler import ProfileRecord
@@ -680,43 +682,53 @@ def read_telemetry_npz(
 ) -> Tuple[Optional[TelemetryRecord], Optional[ProfileRecord]]:
     """Load an archive written by :func:`write_telemetry_npz`.
 
-    Raises ``ValueError`` when the archive is not an export or a section
-    has the wrong shape.
+    Raises ``ValueError`` when the file is not an archive, the archive is
+    not an export, or a section has the wrong shape.
     """
-    with np.load(path) as archive, _export_shape(path):
-        meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
-        if meta.get("kind") != EXPORT_KIND:
-            raise ValueError(f"{path}: not a telemetry export")
-        telemetry: Optional[TelemetryRecord] = None
-        if "telemetry" in meta:
-            info = meta["telemetry"]
-            class_names = tuple(str(n) for n in info["class_names"])
-            times = archive["col_time"]
-            telemetry = TelemetryRecord(
-                interval=float(info["interval"]),
-                # Zero-fill columns the archive predates (exports written
-                # before a column was added stay loadable).
-                columns={
-                    name: (
-                        archive[f"col_{name}"]
-                        if f"col_{name}" in archive
-                        else np.zeros_like(times)
-                    )
-                    for name in COLUMNS
-                },
-                class_names=class_names,
-                class_columns={
-                    name: archive[f"cls_{name}"] for name in CLASS_COLUMNS
-                },
-                histograms={
-                    name: dict(payload)
-                    for name, payload in info["histograms"].items()
-                },
-                dropped_samples=int(info["dropped_samples"]),
-            )
-        profile: Optional[ProfileRecord] = None
-        if "profile" in meta:
-            profile = ProfileRecord.from_json_dict(meta["profile"])
+    # The handle is ours, so it closes even when numpy rejects the bytes.
+    with open(path, "rb") as handle:
+        try:
+            archive = np.load(handle)
+        except (BadZipFile, EOFError, ValueError) as error:
+            # A damaged or truncated zip, an empty file, or other bytes
+            # that numpy takes for a pickle.
+            raise ValueError(f"{path}: not a telemetry export ({error})") from None
+        if not isinstance(archive, NpzFile):
+            raise ValueError(f"{path}: not a telemetry export (a single .npy array)")
+        with archive, _export_shape(path):
+            meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
+            if meta.get("kind") != EXPORT_KIND:
+                raise ValueError(f"{path}: not a telemetry export")
+            telemetry: Optional[TelemetryRecord] = None
+            if "telemetry" in meta:
+                info = meta["telemetry"]
+                class_names = tuple(str(n) for n in info["class_names"])
+                times = archive["col_time"]
+                telemetry = TelemetryRecord(
+                    interval=float(info["interval"]),
+                    # Zero-fill columns the archive predates (exports written
+                    # before a column was added stay loadable).
+                    columns={
+                        name: (
+                            archive[f"col_{name}"]
+                            if f"col_{name}" in archive
+                            else np.zeros_like(times)
+                        )
+                        for name in COLUMNS
+                    },
+                    class_names=class_names,
+                    class_columns={
+                        name: archive[f"cls_{name}"] for name in CLASS_COLUMNS
+                    },
+                    histograms={
+                        name: dict(payload)
+                        for name, payload in info["histograms"].items()
+                    },
+                    dropped_samples=int(info["dropped_samples"]),
+                )
+            profile: Optional[ProfileRecord] = None
+            if "profile" in meta:
+                profile = ProfileRecord.from_json_dict(meta["profile"])
     return telemetry, profile
 
 
@@ -766,10 +778,11 @@ def read_telemetry_json(
 @contextmanager
 def _export_shape(path: Union[str, Path]) -> Iterator[None]:
     """Report a wrong-shaped export section (a ``null`` where a mapping
-    belongs, a missing key) as ``ValueError``, the readers' one error."""
+    belongs, a missing key) or a damaged archive member as ``ValueError``,
+    the readers' one error."""
     try:
         yield
-    except (AttributeError, IndexError, KeyError, TypeError) as error:
+    except (AttributeError, BadZipFile, IndexError, KeyError, TypeError) as error:
         raise ValueError(
             f"{path}: malformed telemetry export "
             f"({type(error).__name__}: {error})"

@@ -1,4 +1,4 @@
-"""``repro serve``: the transport layer over :class:`~repro.core.service.SchedulerCore`.
+"""``repro serve``: the transport layer over :class:`~repro.core.service.LocalSchedulerCore`.
 
 The package splits along the protocol seam the core API established:
 

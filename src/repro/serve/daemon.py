@@ -16,9 +16,12 @@ until they drain.
 
 Clock: the daemon anchors the engine's simulation clock to the event
 loop's monotonic clock at start, scaled by ``time_scale`` simulated
-seconds per wall second.  ``time_scale=1`` serves in real time (a control
-interval is the paper's 300 s); tests and benchmarks crank it up so
-pheromone updates fire within seconds.
+seconds per wall second, and stamps each message with it.  The clock
+moves only on messages: a control interval fires when a message carries
+the clock past its deadline (missed ones fire in order on the next
+message after an idle spell).  ``time_scale=1`` serves in real time (a
+control interval is the paper's 300 s); tests and benchmarks crank it up
+so pheromone updates fire within seconds.
 
 Shutdown: SIGINT/SIGTERM (via :meth:`install_signal_handlers`), a client
 ``{"type": "shutdown"}`` message, or :meth:`request_stop` all trigger the
@@ -61,11 +64,6 @@ class ServeDaemon:
         UNIX-domain socket path; mutually exclusive with host/port.
     time_scale:
         Simulated seconds per wall-clock second (default 1.0).
-    tick_interval:
-        Wall seconds between control-interval timer fires; defaults to
-        ``engine.config.control_interval / time_scale`` so the scheduler
-        re-optimizes exactly on the paper's cadence.  ``0`` disables the
-        timer (replay hosts drive ticks through the protocol instead).
     """
 
     def __init__(
@@ -76,7 +74,6 @@ class ServeDaemon:
         port: int = 0,
         path: Optional[str] = None,
         time_scale: float = 1.0,
-        tick_interval: Optional[float] = None,
     ) -> None:
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
@@ -85,11 +82,7 @@ class ServeDaemon:
         self.port = port
         self.path = path
         self.time_scale = time_scale
-        if tick_interval is None:
-            tick_interval = engine.config.control_interval / time_scale
-        self.tick_interval = tick_interval
         self._server: Optional[asyncio.AbstractServer] = None
-        self._ticker: Optional[asyncio.Task] = None
         self._connections: Set[_Connection] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
@@ -130,8 +123,6 @@ class ServeDaemon:
             self._server = await loop.create_server(
                 lambda: _Connection(self), host=self.host, port=self.port
             )
-        if self.tick_interval > 0:
-            self._ticker = asyncio.ensure_future(self._tick_loop())
 
     def install_signal_handlers(self) -> None:
         """Route SIGINT/SIGTERM into a graceful stop (POSIX event loops)."""
@@ -158,10 +149,6 @@ class ServeDaemon:
         # first, and abort those whose client is not reading.
         assert self._server is not None
         self._server.close()
-        if self._ticker is not None:
-            self._ticker.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._ticker
         closing = list(self._connections)
         for connection in closing:
             connection.transport.close()
@@ -179,12 +166,6 @@ class ServeDaemon:
         if install_signals:
             self.install_signal_handlers()
         return await self.wait_stopped()
-
-    # ----------------------------------------------------------------- ticker
-    async def _tick_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.tick_interval)
-            self.engine.tick(self._now())
 
 
 class _Connection(asyncio.Protocol):

@@ -6,8 +6,11 @@ no TaskTracker processes and no event-driven workload: heartbeats, task
 reports, and job submissions arrive as wire messages (dicts parsed off
 the NDJSON socket by :mod:`repro.serve.daemon`, or fed directly by
 tests), and the :class:`~repro.simulation.Simulator` is reduced to a
-passive clock-and-callback pump — its heap only ever holds the urgent
-dispatches ``Job.complete_task`` schedules when a barrier fires.
+passive clock-and-callback pump.  Its heap holds only the urgent
+dispatches ``Job.complete_task`` schedules when a barrier fires and the
+timeout of the JobTracker's own control loop (started by policies that
+re-optimize per interval, as in the DES), so each control interval fires
+at its exact deadline when a message moves the clock past it.
 
 The engine is deliberately synchronous and single-threaded: the asyncio
 daemon serializes message handling on its event loop, which is exactly
@@ -20,7 +23,7 @@ makes record/replay parity with the DES possible — see
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..cluster import Cluster, Network, paper_fleet, procedural_fleet
 from ..core.service import (
@@ -123,7 +126,6 @@ class ServeEngine:
             placer,
             skew_noise=None,
             rng=streams.stream("skew"),
-            control_loop=False,
         )
         self.core = self.jobtracker.core
         self.trust_wire_now = trust_wire_now
@@ -141,7 +143,8 @@ class ServeEngine:
         return self.sim.now
 
     def _pump(self, now: float) -> None:
-        """Advance the passive sim clock, dispatching any due callbacks.
+        """Advance the passive sim clock, dispatching any due callbacks
+        (including control intervals whose deadline the clock passes).
 
         Never moves backwards: messages carrying stale timestamps are
         handled at the current clock (the real JobTracker does the same —
@@ -197,7 +200,6 @@ class ServeEngine:
             )
         self._pump(now)
         self.core.register_tracker(info)
-        self.jobtracker.last_heartbeat[info.machine_id] = now
         return {"type": "ok", "machine_id": info.machine_id}
 
     def _handle_heartbeat(self, message: Dict[str, Any], now: float) -> Dict[str, Any]:
@@ -214,7 +216,6 @@ class ServeEngine:
                 f"{request.free_reduce_slots}/{info.reduce_slots} reduce)"
             )
         self._pump(now)
-        self.jobtracker.last_heartbeat[machine_id] = now
         started = perf_counter()
         response = core.heartbeat(request)
         self.decision_latency.observe(perf_counter() - started)
@@ -323,12 +324,6 @@ class ServeEngine:
         "tick": _handle_tick,
         "stats": _handle_stats,
     }
-
-    # ------------------------------------------------------------------ tick
-    def tick(self, now: float) -> None:
-        """Fire control-interval ticks due at ``now`` (daemon timer entry)."""
-        self._pump(now)
-        self.jobtracker.control_tick()
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> Dict[str, Any]:

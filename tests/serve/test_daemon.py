@@ -121,6 +121,49 @@ def test_daemon_replays_a_workload_trace():
     assert stats.responses_received == stats.heartbeats_sent
 
 
+def test_idle_daemon_fires_missed_intervals_on_the_next_message():
+    # The clock moves only on messages: two deadlines pass while the
+    # client is idle, nothing fires, and the next heartbeat fires both,
+    # in order and at their exact deadlines.
+    async def scenario():
+        engine = ServeEngine(scheduler="e-ant", seed=3, trust_wire_now=False)
+        tape = []
+        engine.core.set_tap(tape.append)
+        daemon = ServeDaemon(engine, host="127.0.0.1", port=0, time_scale=TIME_SCALE)
+        await daemon.start()
+        serve_task = asyncio.ensure_future(daemon.wait_stopped())
+        reader, writer = await asyncio.open_connection("127.0.0.1", daemon.bound_port)
+
+        async def ask(message):
+            writer.write(encode(message))
+            await writer.drain()
+            return json.loads(await reader.readline())
+
+        try:
+            info = fleet_tracker_infos()[0]
+            assert (await ask({"type": "register", **info.to_wire()}))["type"] == "ok"
+            await asyncio.sleep(1.2)  # 720 simulated seconds
+            idle = (await ask({"type": "stats"}))["control_intervals"]
+            reply = await ask({
+                "type": "heartbeat", "machine_id": info.machine_id,
+                "free_map_slots": 0, "free_reduce_slots": 0,
+                "running_maps": 0, "running_reduces": 0,
+            })
+            after = (await ask({"type": "stats"}))["control_intervals"]
+        finally:
+            writer.close()
+            daemon.request_stop()
+            await serve_task
+        ticks = [record["now"] for record in tape if record["type"] == "tick"]
+        return idle, reply, after, ticks
+
+    idle, reply, after, ticks = asyncio.run(scenario())
+    assert idle == 0
+    assert reply["type"] == "assignment" and reply["now"] >= 600.0
+    assert after >= 2
+    assert ticks == [300.0 * index for index in range(1, after + 1)]
+
+
 def test_shutdown_message_stops_daemon_with_stats():
     async def scenario():
         engine = ServeEngine(scheduler="fifo", seed=3, trust_wire_now=False)

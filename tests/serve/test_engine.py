@@ -150,6 +150,26 @@ class TestSession:
         ] == 2
         assert engine.core.interval_index == 2
 
+    @pytest.mark.parametrize("scheduler, ticks", [("e-ant", [300.0, 600.0]), ("fair", [])])
+    def test_heartbeats_alone_fire_due_intervals_at_their_deadlines(self, scheduler, ticks):
+        # No tick message: the JobTracker's own control loop fires each
+        # interval as a message carries the clock past its deadline, on
+        # the DES's accumulated floats.  Only E-Ant starts that loop.
+        engine = make_engine(scheduler=scheduler)
+        register(engine)
+        tape = []
+        engine.core.set_tap(tape.append)
+        for now in (10.0, 310.0, 650.0):
+            reply = engine.handle({
+                "type": "heartbeat", "machine_id": 0, "now": now,
+                "free_map_slots": 2, "free_reduce_slots": 2,
+                "running_maps": 0, "running_reduces": 0,
+            })
+            assert reply["type"] == "assignment"
+        assert engine.core.interval_index == len(ticks)
+        assert engine.stats()["control_intervals"] == len(ticks)
+        assert [r["now"] for r in tape if r["type"] == "tick"] == ticks
+
     def test_clock_never_moves_backwards(self):
         engine = make_engine()
         register(engine)

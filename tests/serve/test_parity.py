@@ -126,8 +126,7 @@ def test_daemon_replay_matches_des(tape):
 
 async def _replay_over_socket(scheduler_name, recorded):
     engine = ServeEngine(scheduler=scheduler_name, seed=SEED, trust_wire_now=True)
-    # tick_interval=0: the tape drives control ticks through the protocol.
-    daemon = ServeDaemon(engine, host="127.0.0.1", port=0, tick_interval=0)
+    daemon = ServeDaemon(engine, host="127.0.0.1", port=0)
     await daemon.start()
     divergences = []
     try:

@@ -1,4 +1,4 @@
-"""Round-trip property tests for the SchedulerCore wire types.
+"""Round-trip property tests for the scheduler core's wire types.
 
 Every request/response type must survive
 ``from_wire(json.loads(json.dumps(to_wire(x)))) == x`` — that is the

@@ -588,6 +588,48 @@ class TestHostileFiles:
         assert main(["report", str(path)]) == 2
         self._one_error_line(capsys, f"{path}:301: not valid UTF-8 (byte 10)")
 
+    @staticmethod
+    def _telemetry_npz(tmp_path):
+        from repro.observability import write_telemetry_npz
+        from repro.observability.telemetry import CLASS_COLUMNS, COLUMNS, TelemetryRecord
+
+        record = TelemetryRecord(
+            interval=1.0,
+            columns={name: np.arange(50.0) for name in COLUMNS},
+            class_names=("X",),
+            class_columns={name: np.ones((1, 50)) for name in CLASS_COLUMNS},
+            histograms={},
+        )
+        path = tmp_path / "tel.npz"
+        write_telemetry_npz(path, record, None)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["zip-garbage", "truncated", "not-zip", "empty", "bare-npy", "bad-crc"],
+    )
+    def test_npz_export_that_is_not_an_archive(self, capsys, tmp_path, damage):
+        path = tmp_path / "x.npz"
+        if damage == "zip-garbage":
+            path.write_bytes(b"PK\x03\x04" + bytes(range(256)) * 4)
+        elif damage == "truncated":
+            data = self._telemetry_npz(tmp_path)
+            path.write_bytes(data[: len(data) // 2])
+        elif damage == "not-zip":
+            path.write_bytes(b"not an archive\n" * 20)
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "bare-npy":
+            with open(path, "wb") as handle:
+                np.save(handle, np.arange(3.0))
+        else:  # one flipped byte inside a member: the zip index is intact
+            data = bytearray(self._telemetry_npz(tmp_path))
+            data[len(data) // 3] ^= 0xFF
+            path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 2
+        self._one_error_line(capsys, f"cannot read telemetry export {str(path)!r}")
+
     def test_spool_line_is_redone(self, capsys, tmp_path):
         spool = tmp_path / "s.jsonl"
         sweep = ["sweep", "--jobs", "grep:0.5", "--seeds", "0",
