@@ -49,14 +49,14 @@ Subcommands
     Streams the file line by line — constant memory at any trace size.
 ``report``
     Replay a JSONL trace into the per-machine utilization/power sparkline
-    report, offline — no re-simulation.  Also accepts telemetry exports
-    (``.npz`` or JSON written by ``profile --out``) and renders the
+    report, offline — no re-simulation.  Also accepts the JSON telemetry
+    export written by ``profile --out`` and renders the
     fleet-sparkline/layer-table view instead.
 ``profile``
     Run a job mix with the columnar telemetry layer attached under the
     stdlib ``cProfile`` and print the fleet time-series and the host-time
-    table folded by ``repro`` layer; ``--out FILE.npz|.json`` exports
-    both records for offline ``report``.
+    table folded by ``repro`` layer; ``--out FILE.json`` exports both
+    records for offline ``report``.
 """
 
 from __future__ import annotations
@@ -338,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--out",
         metavar="FILE",
-        help="export the telemetry/profile records (.npz or .json by "
-        "extension; inspect later with `report`)",
+        help="export the telemetry/profile records as .json (inspect "
+        "later with `report`)",
     )
 
     figure = sub.add_parser(
@@ -1136,39 +1136,27 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _telemetry_export_format(path: str) -> Optional[str]:
-    """``"npz"`` / ``"json"`` when ``path`` looks like a telemetry export.
-
-    NPZ is decided by extension; JSON by the export-kind marker in the
-    head of the file (a JSONL trace line never contains it).
-    """
+def _is_telemetry_export(path: str) -> bool:
+    """True when the head of ``path`` carries the JSON export-kind marker
+    (a JSONL trace line never contains it)."""
     from .observability.telemetry import EXPORT_KIND
 
-    if path.endswith(".npz"):
-        return "npz"
     try:
-        with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        with open(path, "rb") as handle:
             head = handle.read(256)
     except OSError:
-        return None
-    return "json" if EXPORT_KIND in head else None
+        return False
+    return EXPORT_KIND.encode() in head
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    export_format = _telemetry_export_format(args.file)
-    if export_format is not None:
-        from .observability import (
-            profile_table,
-            read_telemetry_json,
-            read_telemetry_npz,
-            telemetry_report,
-        )
+    if _is_telemetry_export(args.file):
+        from .observability import profile_table, read_telemetry_json, telemetry_report
         from .observability.profiler import PROFILE_TITLE
 
-        reader = read_telemetry_npz if export_format == "npz" else read_telemetry_json
         try:
-            telemetry, profile = reader(args.file)
-        except (OSError, ValueError, KeyError) as error:
+            telemetry, profile = read_telemetry_json(args.file)
+        except (OSError, ValueError) as error:
             raise cli_error(
                 f"cannot read telemetry export {args.file!r}: {error}"
             ) from None
@@ -1197,20 +1185,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from .observability import (
-        profile_layers,
-        telemetry_report,
-        write_telemetry_json,
-        write_telemetry_npz,
-    )
+    from .observability import profile_layers, telemetry_report, write_telemetry_json
     from .observability.profiler import ProfilerBusyError
 
     jobs = parse_job_tokens(args.jobs)
     _positive_finite(args.interval, "--interval")
-    if args.out is not None and not args.out.endswith((".npz", ".json")):
-        raise cli_error(
-            f"--out {args.out!r}: expected a .npz or .json destination"
-        )
+    if args.out is not None and not args.out.endswith(".json"):
+        raise cli_error(f"--out {args.out!r}: expected a .json destination")
     _print_run_config(
         scheduler=args.scheduler,
         seed=args.seed,
@@ -1233,10 +1214,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(telemetry_report(telemetry, profile))
     if args.out:
         try:
-            if args.out.endswith(".npz"):
-                write_telemetry_npz(args.out, telemetry, profile)
-            else:
-                write_telemetry_json(args.out, telemetry, profile)
+            write_telemetry_json(args.out, telemetry, profile)
         except OSError as error:
             raise cli_error(f"cannot write export {args.out!r}: {error}") from None
         print(f"\ntelemetry export written to {args.out}")

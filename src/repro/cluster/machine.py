@@ -170,7 +170,7 @@ class Machine:
         util = min(self._busy_cpu / self.spec.cores, 1.0)
         energy = self.energy
         assert energy is not None
-        if now == self._util_last_time and not energy.keep_trace:
+        if now == self._util_last_time:
             # Zero-length window — several load changes routinely share one
             # timestamp (a phase boundary fires a remove/add pair, meter
             # samples coincide with heartbeats).  The time-weighted sums

@@ -13,8 +13,7 @@ simulated wall-power meter (the stand-in for the WattsUP Pro of Section V).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
 
 __all__ = ["PowerModel", "EnergyAccumulator"]
 
@@ -78,8 +77,6 @@ class EnergyAccumulator:
     _utilization: float = 0.0
     idle_joules: float = 0.0
     dynamic_joules: float = 0.0
-    _trace: List[Tuple[float, float]] = field(default_factory=list)
-    keep_trace: bool = False
     #: multiplier on the dynamic (alpha) term — thermal throttling draws
     #: proportionally less switching power at reduced clocks
     dynamic_scale: float = 1.0
@@ -115,8 +112,6 @@ class EnergyAccumulator:
             self.dynamic_joules += dynamic
         self._last_time = now
         self._utilization = min(max(new_utilization, 0.0), 1.0)
-        if self.keep_trace:
-            self._trace.append((now, self._utilization))
 
     def power_off(self, now: float) -> None:
         """Close the window at ``now`` and stop accruing energy entirely.
@@ -146,8 +141,3 @@ class EnergyAccumulator:
         if self.dynamic_scale != 1.0:
             dynamic *= self.dynamic_scale
         return self.total_joules + self.model.idle_energy(duration) + dynamic
-
-    @property
-    def trace(self) -> List[Tuple[float, float]]:
-        """Recorded (time, utilization) change points (if ``keep_trace``)."""
-        return list(self._trace)

@@ -271,8 +271,6 @@ def _reference_energy_advance(
         self.dynamic_joules += dynamic
     self._last_time = now
     self._utilization = min(max(new_utilization, 0.0), 1.0)
-    if self.keep_trace:
-        self._trace.append((now, self._utilization))
 
 
 #: (class, attribute) -> naive implementation, the full patch set applied by

@@ -6,7 +6,6 @@ from .powermgmt import PowerManager, SleepPolicy, pick_covering_subset
 from .waste import attempt_wasted_joules, killed_attempts, wasted_energy_breakdown
 from .model import (
     DEFAULT_DELTA_T,
-    SampledTrace,
     TaskEnergyModel,
     UtilizationSample,
     estimate_task_energy,
@@ -16,7 +15,6 @@ from .model import (
 __all__ = [
     "TaskEnergyModel",
     "UtilizationSample",
-    "SampledTrace",
     "estimate_task_energy",
     "samples_from_phases",
     "DEFAULT_DELTA_T",

@@ -10,7 +10,7 @@ Fig. 4 (normalized root mean square error).
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 

@@ -16,7 +16,7 @@ per-machine-type constants obtained by least-squares system identification
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..cluster import MachineSpec
@@ -117,7 +117,6 @@ def estimate_task_energy(
 def samples_from_phases(
     phases: Sequence[Tuple[float, float]],
     delta_t: float = DEFAULT_DELTA_T,
-    noise_factor=None,
     noise_factors: Optional[Callable[[int], Sequence[float]]] = None,
 ) -> List[UtilizationSample]:
     """Chop a multi-phase execution into heartbeat-window samples.
@@ -130,16 +129,12 @@ def samples_from_phases(
         phase.
     delta_t:
         Sampling window (Hadoop heartbeat interval).
-    noise_factor:
-        Optional zero-argument callable returning a multiplicative factor
-        applied independently to each sample — the measurement noise of
-        Section IV-D.  ``None`` reports exact samples.
     noise_factors:
-        Batched alternative to ``noise_factor``: a callable mapping a
-        sample count ``n`` to ``n`` factors in one call (e.g. one
-        vectorized lognormal draw, which numpy generates bit-identically
-        to ``n`` sequential scalar draws from the same stream).  Takes
-        precedence over ``noise_factor`` when both are given.
+        Optional callable mapping a sample count ``n`` to ``n``
+        multiplicative factors, one per sample — the measurement noise of
+        Section IV-D, drawn in one call (e.g. one vectorized lognormal
+        draw).  Noisy samples are clamped at 0.0.  ``None`` reports exact
+        samples.
 
     Notes
     -----
@@ -188,58 +183,5 @@ def samples_from_phases(
             UtilizationSample(max(0.0, mean_util * float(factor)), duration)
             for (mean_util, duration), factor in zip(raw, factors)
         ]
-    if noise_factor is not None:
-        return [
-            UtilizationSample(max(0.0, mean_util * float(noise_factor())), duration)
-            for mean_util, duration in raw
-        ]
     return [UtilizationSample(mean_util, duration) for mean_util, duration in raw]
 
-
-@dataclass
-class SampledTrace:
-    """Helper that chops a task execution into heartbeat windows.
-
-    Given a task that ran ``duration`` seconds with (possibly noisy)
-    per-window utilizations, produce the sample list a TaskTracker would
-    report.  Used by the Hadoop model and the Fig. 4 / Fig. 7 experiments.
-    """
-
-    duration: float
-    delta_t: float = DEFAULT_DELTA_T
-    samples: List[UtilizationSample] = field(default_factory=list)
-
-    def windows(self) -> List[float]:
-        """Window lengths covering ``duration`` (last one may be short)."""
-        if self.duration <= 0:
-            return []
-        full_windows, remainder = divmod(self.duration, self.delta_t)
-        lengths = [self.delta_t] * int(full_windows)
-        if remainder > 1e-9:
-            lengths.append(remainder)
-        return lengths
-
-    def fill_constant(self, utilization: float) -> "SampledTrace":
-        """Populate samples with a constant utilization (noise-free)."""
-        self.samples = [UtilizationSample(utilization, w) for w in self.windows()]
-        return self
-
-    def fill_noisy(
-        self,
-        utilization: float,
-        sigma: float,
-        rng,
-    ) -> "SampledTrace":
-        """Populate samples with multiplicative lognormal noise.
-
-        The noise models measurement jitter in process-level CPU accounting
-        (Section IV-D's "fluctuation in CPU utilization").
-        """
-        self.samples = [
-            UtilizationSample(
-                max(0.0, utilization * float(rng.lognormal(0.0, sigma))),
-                w,
-            )
-            for w in self.windows()
-        ]
-        return self

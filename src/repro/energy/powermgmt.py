@@ -22,7 +22,7 @@ covering subset pays for its deeper idle savings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..cluster import Cluster
 

@@ -12,7 +12,7 @@ that motivates the exchange strategies of Section IV-D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from ..core import TaskAnalyzer
 from ..energy import TaskEnergyModel, nrmse
 from ..hadoop import TaskKind
 from ..noise import NoiseModel
-from ..simulation import RandomStreams
 from ..workloads import PUMA, puma_job
 from .harness import run_scenario
 

@@ -19,7 +19,7 @@ with a compatibility shim for one release cycle and has been removed.)
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cluster import MachineSpec, Network
 from ..core import EAntConfig

@@ -10,7 +10,7 @@ streams over the network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from ..cluster import Cluster, Network, paper_fleet
 from ..hadoop import BlockPlacer, HadoopConfig

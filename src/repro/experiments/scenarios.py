@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..cluster import MachineSpec, T420, paper_fleet, procedural_fleet
+from ..cluster import MachineSpec, procedural_fleet
 from ..hadoop import HadoopConfig
 from ..noise import DEFAULT_NOISE, NoiseModel
 from ..runner import ScenarioSpec
@@ -28,10 +28,10 @@ from ..workloads import (
     TraceSpec,
     WorkloadProfile,
     generate_msd_workload,
-    poisson_arrivals,
     render_trace,
     uniform_job_stream,
 )
+from ..workloads.traces import poisson_process_times
 
 __all__ = [
     "msd_scenario",
@@ -95,7 +95,9 @@ def open_loop_jobs(
     arrival is an independent map task with one block of input.
     """
     scaled = profile.scaled(MOTIVATION_TASK_SCALE)
-    times = poisson_arrivals(rate_per_min, duration_s, streams.stream(label))
+    times = poisson_process_times(
+        rate_per_min / 60.0, duration_s, streams.stream(label)
+    )
     return [
         JobSpec(
             profile=scaled,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster import Cluster
-from ..hadoop import HadoopConfig, Job, JobTracker, TaskKind, TaskReport
+from ..hadoop import HadoopConfig, JobTracker, TaskKind, TaskReport
 from ..workloads import JobSpec
 from .fairness import estimate_standalone_jct, fairness_from_slowdowns, slowdown
 

@@ -11,7 +11,7 @@ job's map and reduce phases could possibly drain.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -5,8 +5,7 @@ choosing-your-instrument matrix, and examples):
 
 * :mod:`.tracer` — typed trace events with a zero-cost off switch
   (:data:`NULL_TRACER`); threaded through the simulation engine, both
-  trackers, and every scheduler.  Optional ``max_events`` ring mode keeps
-  memory bounded on large fleets.
+  trackers, and every scheduler.
 * :mod:`.audit` — the scheduler decision audit log: one record per E-Ant
   slot decision decomposing Eqs. 3-8 (pheromone, heuristic, fairness,
   final probability) over the full candidate set.
@@ -20,7 +19,7 @@ choosing-your-instrument matrix, and examples):
   ``cProfile`` folded by subpackage (:func:`profile_layers`); no hooks
   in the simulator.
 * :mod:`.exporters` / :mod:`.report` — JSONL trace files (materialized or
-  streamed), flamegraph-style text summaries, NPZ/JSON telemetry exports,
+  streamed), flamegraph-style text summaries, the JSON telemetry export,
   and offline replay into sparkline reports (``repro trace`` /
   ``repro report`` / ``repro profile``).
 """
@@ -41,10 +40,8 @@ from .telemetry import (
     TelemetryRecord,
     TelemetrySink,
     read_telemetry_json,
-    read_telemetry_npz,
     telemetry_records_equal,
     write_telemetry_json,
-    write_telemetry_npz,
 )
 from .tracer import NULL_TRACER, EventType, NullTracer, TraceEvent, Tracer
 
@@ -78,8 +75,6 @@ __all__ = [
     "TelemetrySink",
     "TelemetryRecord",
     "telemetry_records_equal",
-    "write_telemetry_npz",
-    "read_telemetry_npz",
     "write_telemetry_json",
     "read_telemetry_json",
     "write_jsonl",

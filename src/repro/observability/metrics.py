@@ -197,14 +197,6 @@ class MetricsRegistry:
             },
         }
 
-    def counter_values(self, name: str) -> Dict[Tuple[Tuple[str, str], ...], float]:
-        """All label-sets of one counter family -> value."""
-        return {
-            labels: counter.value
-            for (metric, labels), counter in self._counters.items()
-            if metric == name
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<MetricsRegistry counters={len(self._counters)} "

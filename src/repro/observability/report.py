@@ -65,7 +65,7 @@ def machine_series_from_trace(events: Sequence[TraceEvent]) -> Dict[int, Machine
     if snapshots == 0:
         raise ValueError(
             "trace has no metrics.snapshot events; record it with tracing "
-            "enabled (e.g. `repro run --trace out.jsonl`)"
+            "enabled (e.g. `repro run --trace-out out.jsonl`)"
         )
     return {
         machine_id: MachineSeries(
@@ -177,7 +177,7 @@ def telemetry_report(
     """Render a telemetry export: fleet sparklines, class rollups, phases.
 
     The offline counterpart of ``repro profile``'s live output: feed it a
-    record loaded from an NPZ/JSON export and it reconstructs the
+    record loaded from the JSON export and it reconstructs the
     time-series view without re-simulating anything.
     """
     times = telemetry.columns["time"]

@@ -38,16 +38,15 @@ locks this in), and the paired 1,000-node benchmark in
 ``benchmarks/check_regression.py`` holds the overhead to <= 5 %.
 
 The frozen :class:`TelemetryRecord` projection travels inside
-:class:`~repro.runner.record.RunRecord` and round-trips through NPZ
-(:func:`write_telemetry_npz`) and JSON (:func:`write_telemetry_json`)
-exports, which ``repro profile``/``repro report`` render offline.
+:class:`~repro.runner.record.RunRecord` and round-trips through the JSON
+export (:func:`write_telemetry_json`), which ``repro profile`` writes and
+``repro report`` renders offline.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -56,16 +55,13 @@ from typing import (
     Callable,
     Dict,
     Generator,
-    Iterator,
     List,
     Optional,
     Tuple,
     Union,
 )
-from zipfile import BadZipFile
 
 import numpy as np
-from numpy.lib.npyio import NpzFile
 
 from .metrics import Histogram, MetricsRegistry
 from .profiler import ProfileRecord
@@ -81,8 +77,6 @@ __all__ = [
     "TelemetrySink",
     "TelemetryRecord",
     "telemetry_records_equal",
-    "write_telemetry_npz",
-    "read_telemetry_npz",
     "write_telemetry_json",
     "read_telemetry_json",
 ]
@@ -256,9 +250,6 @@ class TelemetryRecord:
 
     def series(self, name: str) -> np.ndarray:
         return self.columns[name]
-
-    def class_series(self, column: str, class_name: str) -> np.ndarray:
-        return self.class_columns[column][self.class_names.index(class_name)]
 
     # Dataclass-generated __eq__ trips over ndarray truthiness; equality is
     # exact array equality (NaNs equal), which the round-trip tests rely on.
@@ -642,96 +633,6 @@ class TelemetrySink:
 
 
 # ------------------------------------------------------------------ exporters
-def write_telemetry_npz(
-    path: Union[str, Path],
-    telemetry: Optional[TelemetryRecord] = None,
-    profile: Optional[ProfileRecord] = None,
-) -> None:
-    """Write telemetry/profile records to an ``.npz`` archive.
-
-    Columns are stored as native float64 arrays under ``col_<name>`` /
-    ``cls_<name>`` keys; everything non-columnar (interval, class names,
-    histograms, the profile table) travels as one JSON string under
-    ``meta`` — so the archive is both compact and self-describing.
-    """
-    if telemetry is None and profile is None:
-        raise ValueError("nothing to export: both telemetry and profile are None")
-    meta: Dict[str, Any] = {"kind": EXPORT_KIND, "version": EXPORT_VERSION}
-    payload: Dict[str, np.ndarray] = {}
-    if telemetry is not None:
-        meta["telemetry"] = {
-            "interval": telemetry.interval,
-            "dropped_samples": telemetry.dropped_samples,
-            "class_names": list(telemetry.class_names),
-            "histograms": telemetry.histograms,
-        }
-        for name, array in telemetry.columns.items():
-            payload[f"col_{name}"] = array
-        for name, array in telemetry.class_columns.items():
-            payload[f"cls_{name}"] = array
-    if profile is not None:
-        meta["profile"] = profile.to_json_dict()
-    payload["meta"] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
-    )
-    np.savez(path, **payload)
-
-
-def read_telemetry_npz(
-    path: Union[str, Path],
-) -> Tuple[Optional[TelemetryRecord], Optional[ProfileRecord]]:
-    """Load an archive written by :func:`write_telemetry_npz`.
-
-    Raises ``ValueError`` when the file is not an archive, the archive is
-    not an export, or a section has the wrong shape.
-    """
-    # The handle is ours, so it closes even when numpy rejects the bytes.
-    with open(path, "rb") as handle:
-        try:
-            archive = np.load(handle)
-        except (BadZipFile, EOFError, ValueError) as error:
-            # A damaged or truncated zip, an empty file, or other bytes
-            # that numpy takes for a pickle.
-            raise ValueError(f"{path}: not a telemetry export ({error})") from None
-        if not isinstance(archive, NpzFile):
-            raise ValueError(f"{path}: not a telemetry export (a single .npy array)")
-        with archive, _export_shape(path):
-            meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
-            if meta.get("kind") != EXPORT_KIND:
-                raise ValueError(f"{path}: not a telemetry export")
-            telemetry: Optional[TelemetryRecord] = None
-            if "telemetry" in meta:
-                info = meta["telemetry"]
-                class_names = tuple(str(n) for n in info["class_names"])
-                times = archive["col_time"]
-                telemetry = TelemetryRecord(
-                    interval=float(info["interval"]),
-                    # Zero-fill columns the archive predates (exports written
-                    # before a column was added stay loadable).
-                    columns={
-                        name: (
-                            archive[f"col_{name}"]
-                            if f"col_{name}" in archive
-                            else np.zeros_like(times)
-                        )
-                        for name in COLUMNS
-                    },
-                    class_names=class_names,
-                    class_columns={
-                        name: archive[f"cls_{name}"] for name in CLASS_COLUMNS
-                    },
-                    histograms={
-                        name: dict(payload)
-                        for name, payload in info["histograms"].items()
-                    },
-                    dropped_samples=int(info["dropped_samples"]),
-                )
-            profile: Optional[ProfileRecord] = None
-            if "profile" in meta:
-                profile = ProfileRecord.from_json_dict(meta["profile"])
-    return telemetry, profile
-
-
 def write_telemetry_json(
     path: Union[str, Path],
     telemetry: Optional[TelemetryRecord] = None,
@@ -755,13 +656,22 @@ def read_telemetry_json(
 ) -> Tuple[Optional[TelemetryRecord], Optional[ProfileRecord]]:
     """Load a document written by :func:`write_telemetry_json`.
 
-    Raises ``ValueError`` when the document is not an export or a section
-    has the wrong shape.
+    Raises ``ValueError`` when the file is not UTF-8 (naming the line and
+    the bad byte's offset in it, as the trace reader does), is not an
+    export, or a section has the wrong shape (a ``null`` where a mapping
+    belongs, a missing key).
     """
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        line = data.count(b"\n", 0, error.start) + 1
+        byte = error.start - (data.rfind(b"\n", 0, error.start) + 1)
+        raise ValueError(f"{path}:{line}: not valid UTF-8 (byte {byte})") from None
+    document = json.loads(text)
     if not isinstance(document, dict) or document.get("kind") != EXPORT_KIND:
         raise ValueError(f"{path}: not a telemetry export")
-    with _export_shape(path):
+    try:
         telemetry = (
             TelemetryRecord.from_json_dict(document["telemetry"])
             if "telemetry" in document
@@ -772,18 +682,9 @@ def read_telemetry_json(
             if "profile" in document
             else None
         )
-    return telemetry, profile
-
-
-@contextmanager
-def _export_shape(path: Union[str, Path]) -> Iterator[None]:
-    """Report a wrong-shaped export section (a ``null`` where a mapping
-    belongs, a missing key) or a damaged archive member as ``ValueError``,
-    the readers' one error."""
-    try:
-        yield
-    except (AttributeError, BadZipFile, IndexError, KeyError, TypeError) as error:
+    except (AttributeError, IndexError, KeyError, TypeError) as error:
         raise ValueError(
             f"{path}: malformed telemetry export "
             f"({type(error).__name__}: {error})"
         ) from None
+    return telemetry, profile

@@ -22,9 +22,8 @@ parsed back with :meth:`Tracer.decisions`.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, MutableSequence, Optional
+from typing import Any, Dict, List, Optional
 
 from .audit import DecisionRecord
 
@@ -114,43 +113,17 @@ class Tracer:
     The tracer is deliberately append-only and side-effect free: it never
     touches RNG streams or the simulation heap, so a traced run produces
     bit-identical results to an untraced one.
-
-    Parameters
-    ----------
-    max_events:
-        ``None`` (default) keeps every event, matching historical
-        behaviour.  A positive bound turns the buffer into a ring: once
-        full, each new event evicts the oldest and :attr:`dropped` counts
-        the evictions — so full tracing on a large fleet degrades to a
-        sliding window instead of exhausting RAM.
     """
 
     enabled = True
 
-    def __init__(self, max_events: Optional[int] = None) -> None:
-        if max_events is not None and max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {max_events}")
-        self.max_events = max_events
-        #: events evicted from the ring (always 0 in unbounded mode)
-        self.dropped = 0
-        self.events: "MutableSequence[TraceEvent]" = (
-            [] if max_events is None else deque(maxlen=max_events)
-        )
+    def __init__(self) -> None:
+        self.events: List[TraceEvent] = []
 
     # ---------------------------------------------------------------- emit
     def emit(self, type_: EventType, time: float, **data: Any) -> None:
         """Append one event (payload keys become JSONL fields)."""
-        events = self.events
-        if self.max_events is not None and len(events) == self.max_events:
-            self.dropped += 1
-        events.append(TraceEvent(time, type_, data))
-
-    def emit_decision(self, record: DecisionRecord) -> None:
-        """Append one scheduler-decision audit record."""
-        events = self.events
-        if self.max_events is not None and len(events) == self.max_events:
-            self.dropped += 1
-        events.append(TraceEvent(record.time, EventType.DECISION, record.to_data()))
+        self.events.append(TraceEvent(time, type_, data))
 
     # ------------------------------------------------------------- queries
     def __len__(self) -> int:
@@ -190,9 +163,6 @@ class NullTracer:
 
     def emit(self, type_: EventType, time: float, **data: Any) -> None:
         """Discard (no event is constructed by guarded call sites)."""
-
-    def emit_decision(self, record: DecisionRecord) -> None:
-        """Discard."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<NullTracer>"

@@ -25,7 +25,7 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 from ..cluster import MachineSpec, PowerModel, paper_fleet
 from ..core import EAntConfig, ExchangeLevel

@@ -1,7 +1,7 @@
 """Workload substrate: PUMA profiles, the MSD synthetic mix, arrivals."""
 
 from .benchmarks import GREP, PUMA, TERASORT, WORDCOUNT, profile_by_name, puma_job, standard_mix
-from .generator import TaskArrivalSpec, poisson_arrivals, uniform_job_stream
+from .generator import uniform_job_stream
 from .msd import CLASS_SPECS, MSDConfig, class_histogram, generate_msd_workload
 from .profiles import SIZE_CLASSES, JobSpec, WorkloadProfile
 from .traces import (
@@ -34,8 +34,6 @@ __all__ = [
     "generate_msd_workload",
     "class_histogram",
     "CLASS_SPECS",
-    "TaskArrivalSpec",
-    "poisson_arrivals",
     "uniform_job_stream",
     "TraceError",
     "TraceJob",

@@ -15,7 +15,7 @@ Work amounts are calibrated so that, on the reference desktop:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from .profiles import JobSpec, WorkloadProfile
 

@@ -1,70 +1,22 @@
-"""Open-loop arrival generators for the motivation experiments.
+"""Whole-job arrival mixes for the multi-job evaluation scenarios.
 
-The Section II case study submits *tasks* (not whole jobs) to a machine at a
-controlled rate and measures throughput-per-watt.  :class:`TaskArrivalSpec`
-describes such an open-loop experiment; :func:`poisson_arrivals` produces
-the timestamp sequence.  Whole-job arrival mixes are also provided for the
-multi-job evaluation scenarios.
+:func:`uniform_job_stream` shuffles equal-sized jobs across applications
+and submits them on a cumulative-exponential schedule.  Open-loop task
+streams (the Section II case study) draw their timestamps straight from
+:func:`repro.workloads.traces.poisson_process_times`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
 from .benchmarks import profile_by_name
-from .profiles import JobSpec, WorkloadProfile
-from .traces.arrivals import cumulative_exponential_times, poisson_process_times
+from .profiles import JobSpec
+from .traces.arrivals import cumulative_exponential_times
 
-__all__ = ["TaskArrivalSpec", "poisson_arrivals", "uniform_job_stream"]
-
-
-@dataclass(frozen=True)
-class TaskArrivalSpec:
-    """An open-loop stream of single-block tasks of one application.
-
-    Parameters
-    ----------
-    profile:
-        Application whose map-task shape the stream uses.
-    rate_per_min:
-        Mean task arrival rate (tasks/minute).
-    duration_s:
-        Length of the arrival window.
-    """
-
-    profile: WorkloadProfile
-    rate_per_min: float
-    duration_s: float
-
-    def __post_init__(self) -> None:
-        if self.rate_per_min <= 0:
-            raise ValueError("arrival rate must be positive")
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
-
-    @property
-    def expected_tasks(self) -> float:
-        """Mean number of arrivals in the window."""
-        return self.rate_per_min * self.duration_s / 60.0
-
-
-def poisson_arrivals(
-    rate_per_min: float,
-    duration_s: float,
-    rng: np.random.Generator,
-) -> List[float]:
-    """Poisson arrival timestamps (seconds) over ``[0, duration_s)``.
-
-    Thin shim over :func:`repro.workloads.traces.poisson_process_times`
-    (the single arrival-curve implementation); the draw sequence is
-    bit-identical to the historical inline loop.
-    """
-    if rate_per_min <= 0:
-        raise ValueError("arrival rate must be positive")
-    return poisson_process_times(rate_per_min / 60.0, duration_s, rng)
+__all__ = ["uniform_job_stream"]
 
 
 def uniform_job_stream(

@@ -24,7 +24,7 @@ scheduling structure (many waves, mixed job sizes) at feasible event counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np

@@ -1,9 +1,9 @@
 """Arrival-process generators: diurnal, bursty, flash-crowd, Poisson.
 
 One implementation of every arrival curve the platform draws.  The
-homogeneous-Poisson primitives here are the single source of truth that
-the legacy :func:`repro.workloads.poisson_arrivals` /
-:func:`repro.workloads.uniform_job_stream` helpers shim onto (their draw
+homogeneous-Poisson primitives here are the single source of truth for
+the open-loop task streams of the motivation rig and for
+:func:`repro.workloads.uniform_job_stream` (their historical draw
 sequences are preserved bit-for-bit); the non-stationary processes render
 deterministic :class:`~repro.workloads.traces.schema.TraceSpec` objects
 from named RNG streams via :func:`render_trace`.
@@ -48,8 +48,8 @@ def poisson_process_times(
 ) -> List[float]:
     """Homogeneous Poisson arrival timestamps over ``[0, duration_s)``.
 
-    Exactly the draw sequence of the original ``poisson_arrivals`` helper
-    (one exponential per candidate, cumulative), so the legacy shim stays
+    One exponential per candidate, cumulative: the draw sequence the
+    open-loop task streams have always used, so their arrival times stay
     bit-identical for any given generator state.
     """
     if rate_per_s <= 0:

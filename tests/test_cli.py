@@ -318,18 +318,14 @@ class TestProfileCommand:
                                         abs=0.0005 * (len(layers) + 1))
 
     def test_exports_feed_report(self, capsys, tmp_path):
-        npz = tmp_path / "run.npz"
-        as_json = tmp_path / "run.json"
+        path = tmp_path / "run.json"
         assert main(["profile", "--jobs", "grep:1", "--seed", "1",
-                     "--out", str(npz)]) == 0
-        assert main(["profile", "--jobs", "grep:1", "--seed", "1",
-                     "--out", str(as_json)]) == 0
+                     "--out", str(path)]) == 0
         capsys.readouterr()
-        # `report` auto-detects both export formats without re-simulating.
-        for path in (npz, as_json):
-            assert main(["report", str(path)]) == 0
-            out = capsys.readouterr().out
-            assert "telemetry:" in out and PROFILE_TITLE in out
+        # `report` recognizes the export without re-simulating.
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "telemetry:" in out and PROFILE_TITLE in out
 
     def test_report_renders_export_from_phase_profiler(self, capsys):
         # Written by `repro profile --jobs grep:1 --seed 1 --out ...` before
@@ -354,10 +350,14 @@ class TestProfileCommand:
         path = tmp_path / ("bad" + suffix)
         if suffix == ".json":
             path.write_text(document)
-        else:  # the NPZ export keeps the same document under "meta"
+            fragment = "cannot read telemetry export"
+        else:  # an archive of the document is no export, nor a trace
             np.savez(path, meta=np.frombuffer(document.encode(), dtype=np.uint8))
+            fragment = "cannot read"
         assert main(["report", str(path)]) == 2
-        assert "cannot read telemetry export" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert fragment in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_active_profiler_exits_2(self, capsys, monkeypatch):
         def busy(self):
@@ -385,6 +385,12 @@ class TestProfileCommand:
         out_path = tmp_path / "run.txt"
         assert main(["profile", "--jobs", "grep:1", "--out", str(out_path)]) == 2
         assert "--out" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_rejects_npz_export(self, capsys, tmp_path):
+        out_path = tmp_path / "run.npz"
+        assert main(["profile", "--jobs", "grep:1", "--out", str(out_path)]) == 2
+        assert "expected a .json destination" in capsys.readouterr().err
         assert not out_path.exists()
 
     def test_rejects_nonpositive_interval(self, capsys):
@@ -589,8 +595,8 @@ class TestHostileFiles:
         self._one_error_line(capsys, f"{path}:301: not valid UTF-8 (byte 10)")
 
     @staticmethod
-    def _telemetry_npz(tmp_path):
-        from repro.observability import write_telemetry_npz
+    def _telemetry_export(path):
+        from repro.observability import write_telemetry_json
         from repro.observability.telemetry import CLASS_COLUMNS, COLUMNS, TelemetryRecord
 
         record = TelemetryRecord(
@@ -600,8 +606,25 @@ class TestHostileFiles:
             class_columns={name: np.ones((1, 50)) for name in CLASS_COLUMNS},
             histograms={},
         )
+        write_telemetry_json(path, record, None)
+        return path
+
+    def test_telemetry_export(self, capsys, tmp_path):
+        path = self._telemetry_export(tmp_path / "tel.json")
+        data = path.read_bytes()
+        path.write_bytes(data[:300] + b"\xff" + data[300:])
+        assert main(["report", str(path)]) == 2
+        self._one_error_line(capsys, f"{path}:1: not valid UTF-8 (byte 300)")
+
+    @staticmethod
+    def _npz_archive(tmp_path):
+        """An archive of a telemetry export's columns, as ``np.savez`` writes."""
+        from repro.observability.telemetry import COLUMNS
+
         path = tmp_path / "tel.npz"
-        write_telemetry_npz(path, record, None)
+        export = TestHostileFiles._telemetry_export(tmp_path / "tel.json")
+        np.savez(path, meta=np.frombuffer(export.read_bytes(), dtype=np.uint8),
+                 **{f"col_{name}": np.arange(50.0) for name in COLUMNS})
         return path.read_bytes()
 
     @pytest.mark.parametrize(
@@ -613,7 +636,7 @@ class TestHostileFiles:
         if damage == "zip-garbage":
             path.write_bytes(b"PK\x03\x04" + bytes(range(256)) * 4)
         elif damage == "truncated":
-            data = self._telemetry_npz(tmp_path)
+            data = self._npz_archive(tmp_path)
             path.write_bytes(data[: len(data) // 2])
         elif damage == "not-zip":
             path.write_bytes(b"not an archive\n" * 20)
@@ -623,12 +646,14 @@ class TestHostileFiles:
             with open(path, "wb") as handle:
                 np.save(handle, np.arange(3.0))
         else:  # one flipped byte inside a member: the zip index is intact
-            data = bytearray(self._telemetry_npz(tmp_path))
+            data = bytearray(self._npz_archive(tmp_path))
             data[len(data) // 3] ^= 0xFF
             path.write_bytes(bytes(data))
         capsys.readouterr()
+        # Read as a trace, or as an export when its head carries the export
+        # marker: either way one diagnostic line.
         assert main(["report", str(path)]) == 2
-        self._one_error_line(capsys, f"cannot read telemetry export {str(path)!r}")
+        self._one_error_line(capsys, "cannot ")
 
     def test_spool_line_is_redone(self, capsys, tmp_path):
         spool = tmp_path / "s.jsonl"

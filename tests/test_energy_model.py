@@ -1,11 +1,9 @@
 """Eq. 2 estimator tests: window sampling, closed form, phase chopping."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import DESKTOP, T420
 from repro.energy import (
-    SampledTrace,
     TaskEnergyModel,
     UtilizationSample,
     estimate_task_energy,
@@ -26,8 +24,8 @@ class TestTaskEnergyModel:
 
     def test_closed_form_equals_window_sum_for_constant_util(self):
         model = TaskEnergyModel.for_spec(DESKTOP)
-        trace = SampledTrace(duration=17.0).fill_constant(0.11)
-        assert model.estimate(trace.samples) == pytest.approx(
+        samples = samples_from_phases([(17.0, 0.11)], delta_t=3.0)
+        assert model.estimate(samples) == pytest.approx(
             model.estimate_from_average(0.11, 17.0)
         )
 
@@ -62,13 +60,27 @@ class TestSamplesFromPhases:
         )
         assert model.estimate(samples) == pytest.approx(exact)
 
+    def test_windows_cover_duration(self):
+        samples = samples_from_phases([(10.0, 0.2)], delta_t=3.0)
+        assert [s.duration for s in samples] == pytest.approx([3.0, 3.0, 3.0, 1.0])
+
     def test_noise_factor_applied_per_window(self):
-        factors = iter([2.0, 0.5, 1.0, 1.0, 1.0])
-        samples = samples_from_phases(
-            [(6.0, 0.4)], delta_t=3.0, noise_factor=lambda: next(factors)
-        )
+        requested = []
+
+        def factors(n):
+            requested.append(n)
+            return [2.0, 0.5][:n]
+
+        samples = samples_from_phases([(6.0, 0.4)], delta_t=3.0, noise_factors=factors)
+        assert requested == [2]
         assert samples[0].utilization == pytest.approx(0.8)
         assert samples[1].utilization == pytest.approx(0.2)
+
+    def test_negative_factor_clamps_to_zero(self):
+        samples = samples_from_phases(
+            [(6.0, 0.4)], delta_t=3.0, noise_factors=lambda n: [-1.5, 1.0]
+        )
+        assert [s.utilization for s in samples] == [0.0, pytest.approx(0.4)]
 
     def test_zero_duration_phases_skipped(self):
         samples = samples_from_phases([(0.0, 0.9), (3.0, 0.1)], delta_t=3.0)
@@ -79,13 +91,3 @@ class TestSamplesFromPhases:
         with pytest.raises(ValueError):
             samples_from_phases([(1.0, 0.1)], delta_t=0.0)
 
-
-class TestSampledTrace:
-    def test_windows_cover_duration(self):
-        trace = SampledTrace(duration=10.0, delta_t=3.0)
-        assert trace.windows() == pytest.approx([3.0, 3.0, 3.0, 1.0])
-
-    def test_noisy_fill_is_nonnegative(self):
-        rng = np.random.default_rng(0)
-        trace = SampledTrace(duration=30.0).fill_noisy(0.2, sigma=1.0, rng=rng)
-        assert all(s.utilization >= 0 for s in trace.samples)

@@ -4,35 +4,26 @@ import numpy as np
 import pytest
 
 from repro.simulation import RandomStreams
-from repro.workloads import TaskArrivalSpec, WORDCOUNT, poisson_arrivals, uniform_job_stream
+from repro.workloads import uniform_job_stream
+from repro.workloads.traces import poisson_process_times
 
 
 class TestPoissonArrivals:
     def test_all_within_window(self):
         rng = np.random.default_rng(0)
-        times = poisson_arrivals(30.0, 600.0, rng)
+        times = poisson_process_times(30.0 / 60.0, 600.0, rng)
         assert all(0 <= t < 600.0 for t in times)
         assert times == sorted(times)
 
     def test_rate_approximately_respected(self):
         rng = np.random.default_rng(1)
-        times = poisson_arrivals(60.0, 3600.0, rng)
+        times = poisson_process_times(60.0 / 60.0, 3600.0, rng)
         # 3600 expected arrivals; Poisson std ~60.
         assert 3300 <= len(times) <= 3900
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            poisson_arrivals(0.0, 10.0, np.random.default_rng(0))
-
-
-class TestTaskArrivalSpec:
-    def test_expected_tasks(self):
-        spec = TaskArrivalSpec(profile=WORDCOUNT, rate_per_min=12.0, duration_s=300.0)
-        assert spec.expected_tasks == pytest.approx(60.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TaskArrivalSpec(profile=WORDCOUNT, rate_per_min=-1.0, duration_s=10.0)
+            poisson_process_times(0.0 / 60.0, 10.0, np.random.default_rng(0))
 
 
 class TestUniformJobStream:

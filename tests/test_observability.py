@@ -75,7 +75,7 @@ class TestDecisionRecords:
     def test_tracer_parses_decisions_back(self):
         tracer = Tracer()
         record = self._record()
-        tracer.emit_decision(record)
+        tracer.emit(EventType.DECISION, record.time, **record.to_data())
         (parsed,) = tracer.decisions()
         assert parsed == record
         assert parsed.time == 42.0

@@ -43,9 +43,3 @@ class TestEnergyAccumulator:
         acc.advance(5.0, 0.2)
         with pytest.raises(ValueError):
             acc.advance(4.0, 0.3)
-
-    def test_trace_recording(self):
-        acc = EnergyAccumulator(PowerModel(10.0, 10.0), keep_trace=True)
-        acc.advance(1.0, 0.5)
-        acc.advance(2.0, 0.7)
-        assert acc.trace == [(1.0, 0.5), (2.0, 0.7)]

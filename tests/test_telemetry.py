@@ -3,10 +3,9 @@
 Covers the columnar ring buffers (:class:`_ColumnStore` growth, wrap and
 drop accounting), :class:`TelemetrySink` sampling against a live run,
 per-class rollup consistency, the ``metrics.snapshot`` trace events a
-traced sink emits, NPZ/JSON export round-trips, the cProfile fold of
+traced sink emits, JSON export round-trips, the cProfile fold of
 :func:`profile_layers` (rows sum to the profile total, builtins charged
-to their ``repro`` caller), the vectorized ``Histogram.observe_many``,
-and the tracer's bounded ``max_events`` ring mode.
+to their ``repro`` caller), and the vectorized ``Histogram.observe_many``.
 """
 
 import cProfile
@@ -21,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.experiments import run_scenario
 from repro.observability import (
-    EventType,
     Histogram,
     PhaseStat,
     ProfileRecord,
@@ -32,11 +30,8 @@ from repro.observability import (
     profile_layers,
     profile_table,
     read_telemetry_json,
-    read_telemetry_npz,
-    telemetry_records_equal,
     telemetry_report,
     write_telemetry_json,
-    write_telemetry_npz,
 )
 from repro.observability.profiler import OTHER, PROFILE_TITLE, fold_layers
 from repro.observability.telemetry import (
@@ -217,15 +212,6 @@ class TestExportRoundTrips:
         )
         return result.telemetry.record(), profile
 
-    def test_npz_round_trip(self, records, tmp_path):
-        telemetry, profile = records
-        path = tmp_path / "export.npz"
-        write_telemetry_npz(path, telemetry, profile)
-        loaded_telemetry, loaded_profile = read_telemetry_npz(path)
-        assert telemetry_records_equal(telemetry, loaded_telemetry)
-        assert loaded_telemetry == telemetry
-        assert loaded_profile == profile
-
     def test_json_round_trip(self, records, tmp_path):
         telemetry, profile = records
         path = tmp_path / "export.json"
@@ -236,14 +222,14 @@ class TestExportRoundTrips:
 
     def test_partial_exports(self, records, tmp_path):
         telemetry, profile = records
-        write_telemetry_npz(tmp_path / "t.npz", telemetry, None)
-        loaded, none_profile = read_telemetry_npz(tmp_path / "t.npz")
+        write_telemetry_json(tmp_path / "t.json", telemetry, None)
+        loaded, none_profile = read_telemetry_json(tmp_path / "t.json")
         assert loaded == telemetry and none_profile is None
         write_telemetry_json(tmp_path / "p.json", None, profile)
         none_telemetry, loaded_profile = read_telemetry_json(tmp_path / "p.json")
         assert none_telemetry is None and loaded_profile == profile
         with pytest.raises(ValueError):
-            write_telemetry_npz(tmp_path / "empty.npz", None, None)
+            write_telemetry_json(tmp_path / "empty.json", None, None)
 
     def test_rejects_non_exports(self, records, tmp_path):
         path = tmp_path / "not_an_export.json"
@@ -366,40 +352,3 @@ class TestObserveMany:
         histogram.observe_many([1.5, 5.0])
         assert histogram.count == 3
         assert histogram.counts == [1, 2, 3]
-
-
-# --------------------------------------------------------------- tracer ring mode
-class TestTracerRingMode:
-    def test_bounded_keeps_latest_and_counts_drops(self):
-        tracer = Tracer(max_events=3)
-        for index in range(5):
-            tracer.emit(EventType.HEARTBEAT, float(index), index=index)
-        assert len(tracer.events) == 3
-        assert tracer.dropped == 2
-        assert [event.time for event in tracer.events] == [2.0, 3.0, 4.0]
-
-    def test_default_is_unbounded(self):
-        tracer = Tracer()
-        assert tracer.max_events is None
-        for index in range(100):
-            tracer.emit(EventType.HEARTBEAT, float(index))
-        assert len(tracer.events) == 100
-        assert tracer.dropped == 0
-
-    def test_rejects_non_positive_bound(self):
-        with pytest.raises(ValueError):
-            Tracer(max_events=0)
-
-    def test_bounded_run_stays_identical(self):
-        """A ring-bounded trace holds the tail of the unbounded trace."""
-        jobs = [puma_job("wordcount", input_gb=1.0)]
-        full = run_scenario(jobs, scheduler="fair", seed=2, trace=Tracer())
-        bounded_tracer = Tracer(max_events=50)
-        run_scenario(jobs, scheduler="fair", seed=2, trace=bounded_tracer)
-        full_events = full.tracer.events
-        bounded = list(bounded_tracer.events)
-        assert len(bounded) == 50
-        assert bounded_tracer.dropped == len(full_events) - 50
-        tail = full_events[-50:]
-        assert [e.type for e in bounded] == [e.type for e in tail]
-        assert [e.time for e in bounded] == [e.time for e in tail]

@@ -36,15 +36,11 @@ from repro.workloads import (
     TraceSpec,
     load_trace,
     make_process,
-    poisson_arrivals,
     render_trace,
     uniform_job_stream,
     write_trace,
 )
-from repro.workloads.traces.arrivals import (
-    cumulative_exponential_times,
-    poisson_process_times,
-)
+from repro.workloads.traces.arrivals import cumulative_exponential_times
 
 
 def _tiny_trace(name="tiny", seed=7):
@@ -347,12 +343,7 @@ class TestArrivalProcesses:
 
 
 class TestGeneratorShims:
-    """The legacy generators now delegate here — draws stay bit-identical."""
-
-    def test_poisson_arrivals_matches_process_times(self):
-        a = poisson_arrivals(60.0, 300.0, RandomStreams(5).stream("x"))
-        b = poisson_process_times(1.0, 300.0, RandomStreams(5).stream("x"))
-        assert a == b
+    """``uniform_job_stream`` delegates here — draws stay bit-identical."""
 
     def test_uniform_job_stream_uses_cumulative_exponentials(self):
         jobs = uniform_job_stream(
