@@ -25,7 +25,12 @@ profiles use the same layout.  Joins append a column, decommissions delete
 one, so the (colony x machine) matrix follows the fleet.  Every vectorized
 expression here is elementwise (or an explicitly sequential ``cumsum`` for
 the row sum), which keeps results bit-identical to the scalar dict-based
-code this replaced — the differential suite holds that proof.
+code this replaced — the differential suite holds that proof.  The
+heartbeat scorer reads Eq. 3 from a per-row memo of Python floats
+(:meth:`PheromoneTable.normalized_row`), one list index per candidate
+instead of numpy calls on arrays of a handful of elements.  Deposit sums
+fold left to right (:func:`~repro.core.floatsum.left_sum`), never through
+builtin ``sum()``, whose float rounding changed in Python 3.12.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
+
+from .floatsum import left_sum
 
 __all__ = ["ExchangeLevel", "TaskFeedback", "PheromoneTable"]
 
@@ -114,6 +121,9 @@ class PheromoneTable:
     #: uses ``cumsum`` — sequential left-to-right like the scalar ``sum``
     #: it replaced — so queries stay bit-identical to recomputing them.
     _row_stats: Dict[ColonyKey, Tuple[float, float]] = field(default_factory=dict)
+    #: colony -> Eq. 3 attractiveness of every column, ``(row / sum).tolist()``,
+    #: memoized and invalidated exactly like ``_row_stats``.
+    _normalized: Dict[ColonyKey, List[float]] = field(default_factory=dict)
     _group_of: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     #: colony -> job-similarity group (set via ensure_colony)
     _colony_group: Dict[ColonyKey, Hashable] = field(default_factory=dict)
@@ -189,7 +199,7 @@ class PheromoneTable:
         members = tuple(sorted(set(group) | {machine_id}))
         for member in members:
             self._group_of[member] = members
-        self._row_stats.clear()
+        self._forget_normalizers()
 
     def remove_machine(self, machine_id: int) -> None:
         """Prune a departed (decommissioned) machine's paths everywhere.
@@ -213,12 +223,13 @@ class PheromoneTable:
             remaining = tuple(m for m in members if m != machine_id)
             for member in remaining:
                 self._group_of[member] = remaining
-        self._row_stats.clear()
+        self._forget_normalizers()
 
     def drop_colony(self, colony: ColonyKey) -> None:
         """Forget a finished job's colony (its group profile persists)."""
         self._tau.pop(colony, None)
         self._row_stats.pop(colony, None)
+        self._normalized.pop(colony, None)
         self._colony_group.pop(colony, None)
 
     @property
@@ -252,32 +263,27 @@ class PheromoneTable:
         self.ensure_colony(colony)
         return float(self._tau[colony][self._col[machine_id]] / self._stats(colony)[0])
 
-    def attractiveness_many(
-        self, colonies: Sequence[ColonyKey], machine_id: int
-    ) -> np.ndarray:
-        """Eq. 3 for one machine across many colonies in one pass.
+    def normalized_row(self, colony: ColonyKey) -> List[float]:
+        """Eq. 3 for every machine, in column order (memoized; do not mutate).
 
-        The heartbeat scorer calls this once per slot offer with every
-        candidate colony; each element is the same ``tau / sum(row)``
-        division :meth:`attractiveness` performs, batched.
+        Each element is the same ``tau / sum(row)`` float division
+        :meth:`attractiveness` performs.  The heartbeat scorer indexes it
+        once per candidate colony with :meth:`column`.
         """
-        for colony in colonies:
+        normalized = self._normalized.get(colony)
+        if normalized is None:
             self.ensure_colony(colony)
-        column = self._col[machine_id]
-        count = len(colonies)
-        taus = np.empty(count)
-        totals = np.empty(count)
-        rows = self._tau
-        for i, colony in enumerate(colonies):
-            taus[i] = rows[colony][column]
-            totals[i] = self._stats(colony)[0]
-        return taus / totals
+            normalized = (self._tau[colony] / self._stats(colony)[0]).tolist()
+            self._normalized[colony] = normalized
+        return normalized
+
+    def column(self, machine_id: int) -> int:
+        """Index of ``machine_id`` in every row and :meth:`normalized_row`."""
+        return self._col[machine_id]
 
     def attractiveness_row(self, colony: ColonyKey) -> Dict[int, float]:
         """Eq. 3 for every machine at once."""
-        self.ensure_colony(colony)
-        normalized = self._tau[colony] / self._stats(colony)[0]
-        return dict(zip(self.machine_ids, normalized.tolist()))
+        return dict(zip(self.machine_ids, self.normalized_row(colony)))
 
     def relative_quality(self, colony: ColonyKey, machine_id: int) -> float:
         """Attractiveness of ``machine_id`` relative to the colony's best.
@@ -288,6 +294,11 @@ class PheromoneTable:
         """
         self.ensure_colony(colony)
         return float(self._tau[colony][self._col[machine_id]] / self._stats(colony)[1])
+
+    def _forget_normalizers(self) -> None:
+        """Drop every memoized Eq. 3 normalizer (rows are about to change)."""
+        self._row_stats.clear()
+        self._normalized.clear()
 
     # --------------------------------------------------------------- updates
     def update(self, feedback: Iterable[TaskFeedback]) -> Dict[ColonyKey, Dict[int, float]]:
@@ -339,7 +350,7 @@ class PheromoneTable:
 
         # Eq. 4: evaporate and deposit, clamped.  Every row is about to
         # change, so the memoized normalizers go stale here.
-        self._row_stats.clear()
+        self._forget_normalizers()
         no_deposit = np.zeros(width)
         keep = 1.0 - self.rho
         for colony, row in self._tau.items():
@@ -405,7 +416,7 @@ class PheromoneTable:
         deposits: Dict[ColonyKey, Dict[int, float]] = {}
         for colony, colony_items in by_colony.items():
             self.ensure_colony(colony)
-            mean_energy = sum(f.energy_joules for f in colony_items) / len(colony_items)
+            mean_energy = left_sum(f.energy_joules for f in colony_items) / len(colony_items)
             # Raw per-task deltas, grouped by machine.
             per_machine: Dict[int, List[float]] = {}
             for item in colony_items:
@@ -415,7 +426,7 @@ class PheromoneTable:
             if self.exchange & ExchangeLevel.MACHINE:
                 per_machine = self._machine_exchange(per_machine)
 
-            deposits[colony] = {m: sum(values) for m, values in per_machine.items()}
+            deposits[colony] = {m: left_sum(values) for m, values in per_machine.items()}
 
         if self.exchange & ExchangeLevel.JOB:
             deposits = self._job_exchange(deposits, by_colony)
@@ -438,7 +449,7 @@ class PheromoneTable:
             grouped.setdefault(group, []).extend(deltas)
         result: Dict[int, List[float]] = {}
         for group, deltas in grouped.items():
-            mean_delta = sum(deltas) / len(deltas)
+            mean_delta = left_sum(deltas) / len(deltas)
             share = len(deltas) / len(group)
             for machine_id in group:
                 result[machine_id] = [mean_delta * share]

@@ -1,14 +1,14 @@
 """Retained naive implementations of every optimized hot path.
 
 The kernel and assignment-loop optimizations (the inlined run loop and
-event factories, memoized pheromone normalizers, cached slot totals,
-gated tracker-expiry sweeps, idle-heartbeat parking, the no-work
-heartbeat short-circuit, batched energy integration) are all *pure*
-transformations: they must compute exactly the same floating-point
-expressions in the same order as the straightforward code they
-replaced, so every simulation stays bit-identical.  This module keeps
-the straightforward code alive as the executable specification of that
-contract.
+event factories, memoized pheromone normalizers and normalized rows, the
+inlined float scorer of Eq. 8, cached slot totals, gated tracker-expiry
+sweeps, idle-heartbeat parking, the no-work heartbeat short-circuit,
+batched energy integration) are all *pure* transformations: they must
+compute exactly the same floating-point expressions in the same order as
+the straightforward code they replaced, so every simulation stays
+bit-identical.  This module keeps the straightforward code alive as the
+executable specification of that contract.
 
 :func:`reference_mode` swaps the naive implementations in (monkey-style,
 on the classes themselves) for the duration of a ``with`` block; the
@@ -20,13 +20,14 @@ optimized code promises never to make.
 
 The naive bodies are faithful transcriptions of the pre-optimization
 code, not simplified rewrites: ``_stats`` recomputes the row normalizers
-on every query, ``total_slots`` re-sums the fleet, the simulator run
-loop composes :meth:`Simulator.step` one frame per event and every push
-goes through one ``heappush`` helper, the expiry sweep scans every
-tracker on every heartbeat, every TaskTracker heartbeats every interval
-(no idle parking), every heartbeat enters the policy's ``select_tasks``
-(no no-work short-circuit), and the energy integrator goes through the
-:class:`PowerModel` helper methods.
+on every query, the Eq. 8 scorer calls ``attractiveness``/``_eta``/
+``_deficit`` once per candidate, ``total_slots`` re-sums the fleet, the
+simulator run loop composes :meth:`Simulator.step` one frame per event
+and every push goes through one ``heappush`` helper, the expiry sweep
+scans every tracker on every heartbeat, every TaskTracker heartbeats
+every interval (no idle parking), every heartbeat enters the policy's
+``select_tasks`` (no no-work short-circuit), and the energy integrator
+goes through the :class:`PowerModel` helper methods.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from contextlib import contextmanager
 from heapq import heappush
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-import numpy as np
-
 from ..cluster.machine import Machine
 from ..cluster.power import EnergyAccumulator
 from ..cluster.topology import Cluster
@@ -44,6 +43,7 @@ from ..hadoop.jobtracker import JobTracker
 from ..observability.tracer import EventType
 from ..simulation.engine import PRIORITY_NORMAL, PRIORITY_URGENT, Simulator
 from ..simulation.events import Event, SimulationError
+from .floatsum import left_sum
 from .pheromone import ColonyKey, PheromoneTable
 from .scheduler import EAntScheduler
 from .service import LocalSchedulerCore
@@ -55,11 +55,11 @@ __all__ = ["reference_mode", "REFERENCE_PATCHES"]
 def _reference_stats(self: PheromoneTable, colony: ColonyKey) -> Tuple[float, float]:
     """Eq. 3 normalizers recomputed from the row on every query (no memo).
 
-    The scalar ``sum`` accumulates left-to-right exactly like the
-    ``cumsum`` the optimized memo uses, so the two agree bit-for-bit.
+    The scalar fold accumulates left-to-right exactly like the ``cumsum``
+    the optimized memo uses, so the two agree bit-for-bit.
     """
     values = self._tau[colony].tolist()
-    return (sum(values), max(values))
+    return (left_sum(values), max(values))
 
 
 def _reference_apply_update(
@@ -90,7 +90,7 @@ def _reference_apply_update(
                 own_value - self.negative_feedback * others_mean
             )
 
-    self._row_stats.clear()
+    self._forget_normalizers()
     col = self._col
     for colony, row in self._tau.items():
         updates = effective.get(colony, {})
@@ -141,8 +141,9 @@ def _reference_selection_arrays(self, jobs, kind, machine_id, fairness):
     """Per-candidate Eq. 8 scoring as the original per-job scalar loop.
 
     ``attractiveness`` / ``_eta`` / ``_deficit`` evaluate one candidate at
-    a time; the vectorized scorer must reproduce these weights (and hence
-    the sampler's RNG draws) bit-for-bit.
+    a time, with no memoized normalized rows and no inlining; the
+    optimized scorer must reproduce these weights (and hence the sampler's
+    RNG draws) bit-for-bit.
     """
     from ..hadoop.job import TaskKind
 
@@ -154,7 +155,7 @@ def _reference_selection_arrays(self, jobs, kind, machine_id, fairness):
         tau = self.pheromones.attractiveness((job.job_id, kind), machine_id)
         taus.append(tau)
         weights.append(tau**sharpness * self._eta(job, kind, fairness))
-    return np.array(taus), np.array(weights)
+    return taus, weights
 
 
 # ----------------------------------------------------------------- cluster

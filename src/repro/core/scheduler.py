@@ -29,6 +29,7 @@ configured exchange strategies.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
@@ -40,10 +41,30 @@ from ..observability.tracer import EventType
 from ..schedulers.base import Scheduler
 from .analyzer import TaskAnalyzer
 from .convergence import ConvergenceDetector
+from .floatsum import pairwise_sum
 from .heuristics import FairnessView, fairness_eta
 from .pheromone import ExchangeLevel, PheromoneTable
 
 __all__ = ["EAntConfig", "EAntScheduler"]
+
+
+def sample_index(weights: List[float], total: float, draw: float) -> int:
+    """The index ``Generator.choice(len(weights), p=weights / total)`` picks
+    for the uniform ``draw``, on Python floats.
+
+    The CDF is built as ``(weights / total).cumsum()`` builds it (one
+    division per weight, then a left-to-right running sum), divided by its
+    last entry, and searched as ``searchsorted(side="right")`` searches.
+    The result can equal ``len(weights)`` only when rounding leaves the
+    last CDF entry at or below ``draw``; callers clamp it.
+    """
+    running = 0.0
+    cdf = []
+    for weight in weights:
+        running += weight / total
+        cdf.append(running)
+    last = cdf[-1]
+    return bisect_right([value / last for value in cdf], draw)
 
 
 @dataclass(frozen=True)
@@ -377,53 +398,49 @@ class EAntScheduler(Scheduler):
         kind: TaskKind,
         machine_id: int,
         fairness: FairnessView,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[List[float], List[float]]:
         """Per-candidate pheromone attractiveness and Eq. 8 sampling weight.
 
-        One vectorized pass over all candidates of the slot offer: the
-        pheromone table hands back every colony's Eq. 3 attractiveness at
-        once, and eta/deficit/weight (Eqs. 7-8) are evaluated as
-        elementwise array expressions.  Each element goes through the same
-        float operations in the same order as the scalar loop this
-        replaced (kept as the differential reference), so the sampling
-        probabilities — and therefore the RNG draws — are bit-identical.
+        One pass over the candidates of the slot offer, on Python floats:
+        a slot offer has about six candidates, too few for numpy calls to
+        pay for themselves.  The Eq. 3 attractiveness is read from the
+        pheromone table's memoized normalized rows, and eta/deficit/weight
+        (Eqs. 7-8) go through the same float operations in the same order
+        as the per-job reference (``_reference_selection_arrays``), so the
+        sampling probabilities — and therefore the RNG draws — are
+        bit-identical.
 
-        The tau array rides along so the decision audit can decompose the
+        The tau list rides along so the decision audit can decompose the
         weights without re-normalizing the pheromone rows.
         """
-        assert self.pheromones is not None
-        sharpness = self.config.selection_sharpness if kind is TaskKind.MAP else 1.0
+        pheromones = self.pheromones
+        assert pheromones is not None
         is_map = kind is TaskKind.MAP
-        taus = self.pheromones.attractiveness_many(
-            [(job.job_id, kind) for job in jobs], machine_id
-        )
+        sharpness = self.config.selection_sharpness if is_map else 1.0
+        column = pheromones.column(machine_id)
+        normalized_row = pheromones.normalized_row
+        taus = [normalized_row((job.job_id, kind))[column] for job in jobs]
         if self.config.beta == 0:
-            return taus, taus**sharpness * 1.0
-        if fairness.pool_slots <= 0:
+            return taus, [tau**sharpness * 1.0 for tau in taus]
+        pool_slots = fairness.pool_slots
+        if pool_slots <= 0:
             raise ValueError("pool must have slots")
+        min_share = fairness.min_share
         map_slots, reduce_slots = self.jt.cluster.total_slots()
-        pool = map_slots if is_map else reduce_slots
-        share = pool / max(1, len(self.jt.active_jobs))
-        count = len(jobs)
-        occupied = np.empty(count)
-        running = np.empty(count)
-        if is_map:
-            for i, job in enumerate(jobs):
-                occupied[i] = job.occupied_slots
-                running[i] = job.running_maps
-        else:
-            for i, job in enumerate(jobs):
-                occupied[i] = job.occupied_slots
-                running[i] = job.running_reduces
-        # Eq. 7 (fairness_eta) and the slot deficit, elementwise.
-        denominator = np.maximum(
-            1.0 - (fairness.min_share - occupied) / fairness.pool_slots, 1e-3
-        )
-        deficit = np.maximum(share - running, 0.5)
-        heuristic = ((1.0 / denominator) * deficit**self.config.deficit_power) ** (
-            self.config.beta / self.config.beta_reference
-        )
-        return taus, taus**sharpness * heuristic
+        share = (map_slots if is_map else reduce_slots) / max(1, len(self.jt.active_jobs))
+        power = self.config.deficit_power
+        exponent = self.config.beta / self.config.beta_reference
+        weights = []
+        for job, tau in zip(jobs, taus):
+            # Eq. 7 (fairness_eta) and the slot deficit (_deficit), inlined.
+            denominator = 1.0 - (min_share - job.occupied_slots) / pool_slots
+            if denominator < 1e-3:
+                denominator = 1e-3
+            deficit = share - (job.running_maps if is_map else job.running_reduces)
+            if deficit < 0.5:
+                deficit = 0.5
+            weights.append(tau**sharpness * ((1.0 / denominator) * deficit**power) ** exponent)
+        return taus, weights
 
     def _selection_weights(
         self,
@@ -431,7 +448,7 @@ class EAntScheduler(Scheduler):
         kind: TaskKind,
         machine_id: int,
         fairness: FairnessView,
-    ) -> np.ndarray:
+    ) -> List[float]:
         """The Eq. 8 sampling weight of each candidate colony for one slot."""
         return self._selection_arrays(jobs, kind, machine_id, fairness)[1]
 
@@ -441,7 +458,7 @@ class EAntScheduler(Scheduler):
         kind: TaskKind,
         machine_id: int,
         fairness: FairnessView,
-        weights: Optional[np.ndarray] = None,
+        weights: Optional[List[float]] = None,
     ) -> Optional[Job]:
         """Sample one colony: Eq. 8 weights (pheromone x heuristic) scaled
         by the job's slot deficit.
@@ -451,18 +468,13 @@ class EAntScheduler(Scheduler):
         """
         if weights is None:
             weights = self._selection_weights(jobs, kind, machine_id, fairness)
-        total = weights.sum()
+        total = pairwise_sum(weights)
         if total <= 0:
             return jobs[int(self.rng.integers(len(jobs)))]
         if self.config.deterministic_selection:
-            return jobs[int(np.argmax(weights))]
-        # Inlined Generator.choice(len(jobs), p=weights/total): identical
-        # stream consumption (one random()) and identical index for the
-        # same draw, minus choice()'s per-call p-validation overhead.
-        cdf = (weights / total).cumsum()
-        cdf /= cdf[-1]
-        index = min(int(cdf.searchsorted(self.rng.random(), side="right")), len(jobs) - 1)
-        return jobs[index]
+            # The first maximum, as np.argmax picks it.
+            return jobs[weights.index(max(weights))]
+        return jobs[min(sample_index(weights, total, self.rng.random()), len(jobs) - 1)]
 
     def _accepts(
         self, job: Job, kind: TaskKind, machine_id: int, fairness: FairnessView
@@ -499,8 +511,8 @@ class EAntScheduler(Scheduler):
         kind: TaskKind,
         machine_id: int,
         fairness: FairnessView,
-        taus: np.ndarray,
-        weights: np.ndarray,
+        taus: List[float],
+        weights: List[float],
     ) -> List[Dict[str, Any]]:
         """One audit row per candidate colony, from the Eq. 8 ``taus`` and
         ``weights`` the sampler already computed — never recomputed.
@@ -512,7 +524,7 @@ class EAntScheduler(Scheduler):
         :meth:`Tracer.decisions`); skipping the record objects keeps the
         traced hot path cheap.
         """
-        total = float(weights.sum())
+        total = pairwise_sum(weights)
         uniform = 1.0 / len(jobs)
         # Share computed once per decision, not once per row (_deficit would
         # re-walk the cluster's slot totals for every candidate).
@@ -527,15 +539,14 @@ class EAntScheduler(Scheduler):
         rows: List[Dict[str, Any]] = []
         for job, tau, weight in zip(jobs, taus, weights):
             headroom = share - (job.running_maps if is_map else job.running_reduces)
-            w = float(weight)
             rows.append(
                 {
                     "job_id": job.job_id,
-                    "tau": float(tau),
+                    "tau": tau,
                     "eta": fairness_eta(min_share, job.occupied_slots, pool_slots),
                     "deficit": headroom if headroom > 0.5 else 0.5,
-                    "weight": w,
-                    "probability": w / total if total > 0 else uniform,
+                    "weight": weight,
+                    "probability": weight / total if total > 0 else uniform,
                 }
             )
         return rows
@@ -662,7 +673,7 @@ class EAntScheduler(Scheduler):
         assert self.pheromones is not None
         candidates = list(jobs)
         taus, first_weights = self._selection_arrays(candidates, kind, machine_id, fairness)
-        weights: Optional[np.ndarray] = first_weights
+        weights: Optional[List[float]] = first_weights
         rows = (
             self._decision_rows(candidates, kind, machine_id, fairness, taus, first_weights)
             if self.tracer.enabled

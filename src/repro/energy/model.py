@@ -31,6 +31,8 @@ __all__ = [
 #: Hadoop's default heartbeat interval (Section IV-B sets Δt to this).
 DEFAULT_DELTA_T = 3.0
 
+_new_tuple = tuple.__new__
+
 
 class UtilizationSample(NamedTuple):
     """One heartbeat-window CPU sample of a task process.
@@ -92,8 +94,21 @@ class TaskEnergyModel:
         return (self.idle_share_watts + self.alpha_watts * sample.utilization) * sample.duration
 
     def estimate(self, samples: Sequence[UtilizationSample]) -> float:
-        """Eq. 2: total estimated energy of a task from its sample trace."""
-        return sum(self.sample_energy(sample) for sample in samples)
+        """Eq. 2: total estimated energy of a task from its sample trace.
+
+        :meth:`sample_energy` per window, folded left to right as
+        :func:`~repro.core.floatsum.left_sum` folds.  Builtin ``sum()`` is
+        not used: from Python 3.12 it compensates float sums, which would
+        move E-Ant's feedback with the interpreter version.  The loop
+        inlines both (it runs once per finished task); each term must stay
+        :meth:`sample_energy`'s expression, float for float.
+        """
+        idle_share = self.idle_share_watts
+        alpha = self.alpha_watts
+        total = 0
+        for utilization, duration in samples:
+            total += (idle_share + alpha * utilization) * duration
+        return total
 
     def estimate_from_average(self, avg_utilization: float, duration: float) -> float:
         """Closed form when only the average utilization is known.
@@ -155,33 +170,45 @@ def samples_from_phases(
         clock += duration
         boundaries.append((clock, utilization))
     total = clock
+    # min()/len() calls are spelled out or hoisted: this loop runs once per
+    # heartbeat window of every task.  The float operations are unchanged.
+    last = len(boundaries) - 1
+    horizon = total - 1e-12
     raw: List[Tuple[float, float]] = []  # (mean_util, duration) per window
     window_start = 0.0
     phase_index = 0
-    while window_start < total - 1e-12:
-        window_end = min(window_start + delta_t, total)
+    while window_start < horizon:
+        window_end = window_start + delta_t
+        if total < window_end:
+            window_end = total
         # Time-weighted mean utilization across phases inside the window.
         weighted = 0.0
         cursor = window_start
         index = phase_index
-        while cursor < window_end - 1e-12:
+        stop = window_end - 1e-12
+        while cursor < stop:
             phase_end, utilization = boundaries[index]
-            segment_end = min(phase_end, window_end)
+            segment_end = window_end if window_end < phase_end else phase_end
             weighted += (segment_end - cursor) * utilization
             cursor = segment_end
-            if cursor >= phase_end - 1e-12 and index < len(boundaries) - 1:
+            if cursor >= phase_end - 1e-12 and index < last:
                 index += 1
         duration = window_end - window_start
         raw.append((weighted / duration if duration > 0 else 0.0, duration))
         window_start = window_end
         # Advance the persistent phase pointer for the next window.
-        while phase_index < len(boundaries) - 1 and boundaries[phase_index][0] <= window_start + 1e-12:
+        while phase_index < last and boundaries[phase_index][0] <= window_start + 1e-12:
             phase_index += 1
     if noise_factors is not None:
         factors = noise_factors(len(raw))
-        return [
-            UtilizationSample(max(0.0, mean_util * float(factor)), duration)
-            for (mean_util, duration), factor in zip(raw, factors)
-        ]
+        # One conversion for an ndarray, not float() per numpy scalar.
+        factors = factors.tolist() if hasattr(factors, "tolist") else [float(f) for f in factors]
+        samples = []
+        for (mean_util, duration), factor in zip(raw, factors):
+            noisy = mean_util * factor
+            # max(0.0, noisy), and the NamedTuple built without its
+            # Python-level __new__ (one per heartbeat window of every task).
+            samples.append(_new_tuple(UtilizationSample, (noisy if noisy > 0.0 else 0.0, duration)))
+        return samples
     return [UtilizationSample(mean_util, duration) for mean_util, duration in raw]
 

@@ -28,6 +28,13 @@ class TaskKind(enum.Enum):
     MAP = "map"
     REDUCE = "reduce"
 
+    #: Members are singletons compared by identity, so the C-level identity
+    #: hash is consistent with equality.  ``Enum.__hash__`` is a Python
+    #: method (``hash(self._name_)``) and every ``(job_id, kind)`` colony
+    #: key lookup paid for it; its value was already per-process (string
+    #: hashing is randomized), so nothing can depend on it.
+    __hash__ = object.__hash__
+
 
 class TaskState(enum.Enum):
     """Lifecycle of a task (not an attempt)."""
@@ -35,6 +42,8 @@ class TaskState(enum.Enum):
     PENDING = "pending"
     RUNNING = "running"
     COMPLETED = "completed"
+
+    __hash__ = object.__hash__  # see TaskKind
 
 
 @dataclass(eq=False)

@@ -1,9 +1,10 @@
 """The discrete-event simulation core.
 
 :class:`Simulator` owns the event queue and the simulation clock.  Everything
-in the library — TaskTrackers, heartbeats, job arrivals, control intervals —
-is expressed as generator processes (:mod:`repro.simulation.process`)
-scheduled on a single :class:`Simulator`.
+in the library — TaskTrackers, heartbeats, task attempts, job arrivals,
+control intervals — is expressed as events, their callbacks and generator
+processes (:mod:`repro.simulation.process`) scheduled on a single
+:class:`Simulator`.
 
 The kernel is deliberately small and fully deterministic: given the same
 seeded RNG streams (:mod:`repro.simulation.rng`), two runs produce identical
@@ -171,8 +172,16 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
-        self._running = True
         queue = self._queue
+        if until is not None and (not queue or queue[0][0] > until) and not self.tracer.enabled:
+            # Clock-only run (the serve engine calls run() for every message
+            # that moves its clock): no event is due, so just move the clock.
+            # Traced runs take the full path for their SIM_START/SIM_END.
+            if until < self._now:
+                raise ValueError(f"run(until={until}) is in the past (now={self._now})")
+            self._now = until
+            return
+        self._running = True
         if self.tracer.enabled:
             self.tracer.emit(
                 EventType.SIM_START, self._now, until=until, queued=len(queue)

@@ -9,10 +9,12 @@ it wants to wait for:
 
 When the generator returns, the process (itself an event) succeeds with the
 generator's return value; uncaught exceptions fail the process event and
-propagate to any process joined on it.
+propagate to any process joined on it.  A process that nothing has joined
+when it returns is marked processed at once instead of queueing an exit
+event that no callback would receive (every task attempt ends this way).
 
-Processes support cooperative :meth:`Process.interrupt`, used by the LATE
-speculative-execution baseline to kill redundant task attempts.
+Processes support cooperative :meth:`Process.interrupt`, used to kill
+speculative-execution losers and the attempts of a crashed node.
 """
 
 from __future__ import annotations
@@ -89,18 +91,20 @@ class Process(Event):
                 event._defused = True
                 target = self._generator.throw(event._exception)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self._exit(stop.value)
             return
         except Interrupt as interrupt:
             # Interrupt escaped the generator: treat as clean termination.
-            self.succeed(interrupt.cause)
+            self._exit(interrupt.cause)
             return
         except BaseException as exc:  # noqa: BLE001 - kernel boundary
+            self._release()
             self.fail(exc)
             return
         # Inlined _wait_on, Event-first: almost every yield is an Event.
         if isinstance(target, Event):
             if target.sim is not self.sim:
+                self._release()
                 self.fail(SimulationError("yielded event belongs to a different simulator"))
                 return
             self._waiting_on = target
@@ -116,6 +120,31 @@ class Process(Event):
             return
         self._wait_on(target)
 
+    def _exit(self, value: Any) -> None:
+        """Succeed with ``value`` once the generator has returned.
+
+        With no joiner registered, dispatching the exit event would call
+        nothing, so the process is marked processed without queueing it
+        (a later joiner resumes at once, as on any dispatched event).
+        """
+        self._release()
+        if self._callbacks is NO_CALLBACKS:
+            self._triggered = True
+            self._value = value
+            self._callbacks = None
+        else:
+            self.succeed(value)
+
+    def _release(self) -> None:
+        """Drop the generator and the bound-method caches at termination.
+
+        ``_resume_cb`` is a bound method of this process, a reference cycle
+        that only the cyclic collector could otherwise reclaim; once the
+        process has terminated nothing resumes its generator again.
+        """
+        self._generator = self._send = self._resume_cb = None
+        self._waiting_on = None
+
     def _wait_on(self, target: Any) -> None:
         if isinstance(target, (int, float)):
             target = self.sim.timeout(float(target))
@@ -123,9 +152,11 @@ class Process(Event):
             error = TypeError(
                 f"process {self.name!r} yielded {target!r}; expected Event, Process or number"
             )
+            self._release()
             self.fail(error)
             return
         if target.sim is not self.sim:
+            self._release()
             self.fail(SimulationError("yielded event belongs to a different simulator"))
             return
         self._waiting_on = target

@@ -8,6 +8,9 @@ the churn paths (crash/recover, join, decommission, slowdown).  The
 ``*-idlegap-*`` scenarios leave the cluster idle for longer than
 ``tracker_expiry`` between two jobs, where idle TaskTrackers park, and
 put a crash/recover, a flaky-heartbeat window or a join inside that gap.
+``late-spec-seed21`` and ``fair-reducecrash-seed18`` kill task attempts
+(a speculative loser; reduces in every phase) so that every interrupt
+site of a running attempt is pinned by some digest.
 
 Each scenario completes in well under a second so the corpus stays
 tier-1 friendly; determinism, not scale, is what these runs probe.
@@ -20,6 +23,7 @@ from typing import List, Tuple
 from repro.core import EAntConfig
 from repro.experiments.scenarios import large_fleet_spec, trace_driven_spec
 from repro.faults import FaultEvent, FaultPlan
+from repro.hadoop import HadoopConfig
 from repro.runner import ScenarioSpec
 from repro.workloads import DiurnalProcess, puma_job, render_trace
 
@@ -52,6 +56,19 @@ def _decommission_plan() -> FaultPlan:
         events=(
             FaultEvent(time=50.0, kind="decommission", machine_id=7),
             FaultEvent(time=70.0, kind="flaky_heartbeats", machine_id=2, drop_probability=0.4, duration=90.0),
+        )
+    )
+
+
+def _reduce_crash_plan() -> FaultPlan:
+    """Crashes timed against ``fair-reducecrash-seed18``'s reduce attempts:
+    terasort's in its shuffle transfer (t=33) then in reduce (t=140), both
+    grep reduces on the map barrier (t=50) and one retry in sort (t=90),
+    and both wordcount reduces on the map barrier (t=100)."""
+    return FaultPlan(
+        events=tuple(
+            FaultEvent(time=time, kind="crash", machine_id=machine_id)
+            for time, machine_id in ((33.0, 7), (50.0, 14), (90.0, 11), (100.0, 10), (140.0, 4))
         )
     )
 
@@ -190,6 +207,33 @@ def build_corpus() -> List[Tuple[str, ScenarioSpec]]:
                 faults=FaultPlan(
                     events=(FaultEvent(time=120.0, kind="join", model="T420"),)
                 ),
+            ),
+        ),
+    ]
+    # Interrupt runs: every place a task attempt can be killed is reached
+    # by at least one scenario (test_corpus_kills_attempts_at_every_interrupt_site
+    # in tests/test_golden_corpus.py counts them).  LATE with speculation kills losing map copies; the
+    # crash plan below, on a 0.05 reduce slowstart, kills reduces while
+    # they wait on the map barrier, in the shuffle transfer, in sort and in
+    # reduce (and maps in their io phase).
+    corpus += [
+        (
+            "late-spec-seed21",
+            ScenarioSpec(
+                jobs=_jobs(wordcount, grep),
+                scheduler="late",
+                seed=21,
+                hadoop=HadoopConfig(speculative_execution=True),
+            ),
+        ),
+        (
+            "fair-reducecrash-seed18",
+            ScenarioSpec(
+                jobs=trio,
+                scheduler="fair",
+                seed=18,
+                hadoop=HadoopConfig(reduce_slowstart=0.05),
+                faults=_reduce_crash_plan(),
             ),
         ),
     ]

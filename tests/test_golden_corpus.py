@@ -24,7 +24,9 @@ and explain the drift in the commit message.
 import dataclasses
 import json
 import math
+from collections import Counter
 from pathlib import Path
+from typing import Dict
 
 import pytest
 
@@ -34,6 +36,19 @@ from repro.runner.record import build_record, record_digest
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*.json"))
+
+#: Where each replayed scenario killed attempts, by golden file stem, kept
+#: so the interrupt-coverage test need not run the corpus a second time.
+KILLED_SITES: Dict[str, Counter] = {}
+
+INTERRUPT_SITES = (
+    ("map", "io"),
+    ("map", "cpu"),
+    ("reduce", "barrier"),
+    ("reduce", "transfer"),
+    ("reduce", "sort"),
+    ("reduce", "reduce"),
+)
 
 
 def _load(path: Path) -> dict:
@@ -53,13 +68,69 @@ def test_golden_replay(path):
         f"{path.name}: serialized spec no longer round-trips to the same "
         "identity — spec serialization changed"
     )
-    record = build_record(spec, execute_spec(spec), wall_seconds=0.0)
+    result = execute_spec(spec)
+    KILLED_SITES[path.stem] = killed_sites(result)
+    record = build_record(spec, result, wall_seconds=0.0)
     digest = record_digest(record)
     assert digest == data["expected_digest"], (
         f"{path.name}: simulation output drifted from the golden digest "
         f"({digest[:16]}… != {data['expected_digest'][:16]}…). If this "
         "change is intentional, regenerate tests/golden/ and say why."
     )
+
+
+def killed_sites(result) -> Counter:
+    """(kind, phase) of every attempt of the run that did not succeed.
+
+    An attempt records a phase's duration only once the phase completes,
+    so the first unrecorded phase is where it died.  A reduce that died
+    before finishing its shuffle was still on the map barrier if the
+    job's last map completed after it died.
+    """
+    sites: Counter = Counter()
+    for job in result.jobtracker.jobs.values():
+        maps_done_at = job.maps_done_event.value if job.maps_done_event.triggered else float("inf")
+        for task in job.maps + job.reduces:
+            for attempt in task.attempts:
+                if attempt.succeeded or attempt.finish_time is None:
+                    continue
+                phases = attempt.phases
+                if task.is_map:
+                    phase = "cpu" if "io" in phases else "io"
+                elif "shuffle" not in phases:
+                    phase = "barrier" if attempt.finish_time < maps_done_at else "transfer"
+                elif "sort" not in phases:
+                    phase = "sort"
+                else:
+                    phase = "reduce"
+                sites[(task.kind.value, phase)] += 1
+    return sites
+
+
+def test_corpus_kills_attempts_at_every_interrupt_site():
+    """Every place a task attempt can be interrupted is reached.
+
+    A TaskTracker kills an attempt by throwing ``Interrupt`` into it (a
+    crash kills every resident attempt; LATE kills a speculative loser).
+    A map can die in its io or cpu phase; a reduce while it waits on the
+    job's map barrier, in the shuffle transfer, in sort or in reduce.
+    The digests pin what happens after a kill only where some scenario
+    kills an attempt, so a site that no scenario reaches fails here.
+    Sites come from the replays above; a scenario they did not run (a
+    ``-k`` selection) is run here.
+    """
+    for path in GOLDEN_FILES:
+        if path.stem not in KILLED_SITES:
+            spec = ScenarioSpec.from_json_dict(_load(path)["spec"])
+            KILLED_SITES[path.stem] = killed_sites(execute_spec(spec))
+    sites = sum(KILLED_SITES.values(), Counter())
+    assert set(sites) <= set(INTERRUPT_SITES), sites
+    missing = [site for site in INTERRUPT_SITES if not sites[site]]
+    assert not missing, f"no golden scenario kills an attempt at {missing}: {dict(sites)}"
+    # late-spec-seed21 runs LATE with speculation on and no fault plan:
+    # the scheduler itself kills at least one losing copy.
+    speculative = ScenarioSpec.from_json_dict(_load(GOLDEN_DIR / "late-spec-seed21.json")["spec"])
+    assert speculative.faults is None and sum(KILLED_SITES["late-spec-seed21"].values()) >= 1
 
 
 @dataclasses.dataclass(frozen=True)

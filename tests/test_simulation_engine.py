@@ -34,6 +34,27 @@ class TestClock:
         with pytest.raises(ValueError):
             sim.run(until=1.0)
 
+    def test_run_until_with_nothing_due_only_moves_the_clock(self, sim):
+        fired = []
+        sim.call_at(20.0, lambda: fired.append(sim.now))
+        sim.run(until=5.0)  # next event is later: a clock-only run
+        assert sim.now == 5.0 and fired == [] and sim._dispatched == 0
+        sim.run(until=5.0)  # until == now is allowed
+        with pytest.raises(ValueError):
+            sim.run(until=1.0)
+        sim.run(until=30.0)
+        assert fired == [20.0] and sim.now == 30.0
+        Simulator().run(until=2.0)  # empty queue
+
+    def test_traced_clock_only_run_still_emits_start_and_end(self, sim):
+        from repro.observability.tracer import EventType, Tracer
+
+        sim.tracer = Tracer()
+        sim.timeout(10.0)
+        sim.run(until=4.0)
+        assert [e.type for e in sim.tracer.events] == [EventType.SIM_START, EventType.SIM_END]
+        assert sim.now == 4.0
+
     def test_events_fire_in_time_order(self, sim):
         order = []
         sim.call_at(5.0, lambda: order.append("late"))

@@ -134,3 +134,75 @@ class TestInterrupt:
         sim.call_at(2.0, lambda: proc.interrupt())
         sim.run()
         assert cleaned == [2.0]
+
+
+class TestTermination:
+    @pytest.mark.parametrize("ending", ["return", "raise", "interrupt"])
+    def test_terminated_process_drops_its_generator(self, sim, ending):
+        import gc
+
+        def body():
+            yield sim.timeout(5.0)
+            if ending == "raise":
+                raise KeyError("boom")
+
+        proc = sim.process(body())
+        if ending == "interrupt":
+            sim.call_at(1.0, lambda: proc.interrupt())
+        if ending == "raise":
+            with pytest.raises(KeyError):
+                sim.run()
+        else:
+            sim.run()
+        assert proc.triggered
+        assert proc._generator is None and proc._send is None and proc._resume_cb is None
+        if ending == "raise":
+            return  # the exception's traceback frames still reference proc
+        # No process <-> bound-method cycle is left for the collector.
+        gc.collect()
+        gc.disable()
+        try:
+            del proc
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_unjoined_exit_queues_no_event(self, sim):
+        def body():
+            yield sim.timeout(1.0)
+            return "done"
+
+        proc = sim.process(body())
+        sim.run(until=0.5)
+        queued = sim._seq
+        sim.run()
+        # Only the timeout went through the queue after t=0.5: the exit
+        # event would have called nothing, so the process is processed at once.
+        assert sim._seq == queued
+        assert proc.processed and proc.value == "done"
+        woken = []
+        proc.add_callback(lambda event: woken.append(event.value))
+        assert woken == ["done"]  # a late joiner resumes at once
+
+    def test_joined_exit_still_goes_through_the_queue(self, sim):
+        def child():
+            yield sim.timeout(1.0)
+            return 7
+
+        proc = sim.process(child())
+        joined = []
+        proc.add_callback(lambda event: joined.append((sim.now, event.value)))
+        sim.run(until=0.5)
+        queued = sim._seq
+        sim.run()
+        assert sim._seq == queued + 1  # the exit event, dispatched to the joiner
+        assert joined == [(1.0, 7)]
+
+    def test_unjoined_failure_is_still_raised(self, sim):
+        def body():
+            yield sim.timeout(1.0)
+            raise KeyError("unwatched")
+
+        sim.process(body())
+        with pytest.raises(KeyError):
+            sim.run()

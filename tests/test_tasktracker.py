@@ -101,6 +101,27 @@ class TestExecution:
         assert job.completed_maps == 1
         assert len(task.attempts) >= 2
 
+    def test_second_interrupt_before_the_first_lands_is_a_noop(self):
+        """A kill and a crash at the same instant end the attempt once; a
+        kill after the attempt finished does nothing."""
+        sim, _cluster, jt, trackers = build_stack()
+        job = jt.submit(wordcount_spec(num_maps=2, num_reduces=0))
+        doomed = trackers[0].launch(job.take_map(0))
+        finished = trackers[0].launch(job.take_map(0))
+
+        def kill_then_crash():
+            trackers[0].kill_attempt(doomed)
+            trackers[0].crash()
+
+        sim.call_at(1.0, kill_then_crash)
+        sim.run(until=2.0)
+        assert doomed.killed and not doomed.succeeded and doomed.finish_time == 1.0
+        assert finished.killed and finished.finish_time == 1.0
+        assert trackers[0].running_maps == 0 and not trackers[0]._attempt_processes
+        trackers[0].kill_attempt(doomed)  # long gone: no-op
+        sim.run(until=3.0)
+        assert trackers[0].running_maps == 0
+
 
 class TestHeartbeats:
     def test_full_job_completes_via_heartbeats(self):
