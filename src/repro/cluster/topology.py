@@ -278,10 +278,13 @@ class Cluster:
 
     def utilization_by_type(self) -> Dict[str, float]:
         """Mean time-weighted CPU utilization per model — Fig. 8(b)."""
+        # Imported here: ``repro.core`` imports this package.
+        from ..core.floatsum import left_sum
+
         sums: Dict[str, List[float]] = {}
         for machine in self.machines.values():
             sums.setdefault(machine.spec.model, []).append(machine.average_utilization())
-        return {model: sum(vals) / len(vals) for model, vals in sums.items()}
+        return {model: left_sum(vals) / len(vals) for model, vals in sums.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from .machine import machine_counts_by_type

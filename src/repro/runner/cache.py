@@ -14,26 +14,36 @@ Layout (one directory per salt, fanned out by the first hash byte)::
     <cache-dir>/
       v1-<salt12>/
         ab/
-          <spec-hash>.pkl        # pickled RunRecord
+          <spec-hash>.pkl        # one spool line: the RunRecord + its digest
           <spec-hash>.spec.json  # the spec's canonical JSON (debugging)
+
+An entry is the record's self-validating spool line
+(:func:`~repro.runner.spool.encode_line`): a checksummed base64 pickle
+plus the record's digest, about a third larger on disk than the bare
+pickle (which ``gc``'s size bound counts).  :meth:`ResultCache.get`
+checks the checksum and trusts the stored digest — the generation
+directory is salted with the source hash, so the code that computed the
+digest is the code reading it — where a spool scan, whose lines may come
+from another machine or code version, recomputes every digest.
 
 The default cache directory is ``$EANT_REPRO_CACHE_DIR``, else
 ``$XDG_CACHE_HOME/eant-repro``, else ``~/.cache/eant-repro``.
-Corrupt or unreadable entries are treated as misses and removed.
+Corrupt or unreadable entries, including bare-pickle entries of an older
+layout under a pinned salt, are treated as misses and removed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional
 
-from .record import RunRecord
+from .record import RunRecord, remember_digest
+from .spool import encode_line, parse_line
 
 if TYPE_CHECKING:  # pragma: no cover
     from .spec import ScenarioSpec
@@ -175,18 +185,24 @@ class ResultCache:
     def get(self, spec: "ScenarioSpec") -> Optional[RunRecord]:
         """The cached record for ``spec``, or ``None`` on a miss.
 
-        A corrupt entry (truncated pickle, wrong type) counts as a miss
-        and is evicted so the slot heals on the next store.  An absent
-        entry — never stored, or unlinked by a concurrent ``gc`` — is a
-        plain miss: the entry is opened directly, with no ``exists()``
-        probe for an eviction to race.
+        The entry's spool line is checked as :func:`parse_line` does —
+        payload checksum, type, and the record's spec hash against the
+        line's — and its stored digest is then trusted: the generation
+        directory is salted with the source hash, so the code that wrote
+        the digest is the code reading it.  The record comes back holding
+        that digest, so :func:`record_digest` does not recompute it.
+
+        A damaged entry (truncated, bit-flipped, wrong type, an older
+        bare-pickle entry) counts as a miss and is evicted so the slot
+        heals on the next store.  An absent entry — never stored, or
+        unlinked by a concurrent ``gc`` — is a plain miss: the entry is
+        opened directly, with no ``exists()`` probe for an eviction to
+        race.
         """
         path = self.path_for(spec)
         try:
             with open(path, "rb") as handle:
-                record = pickle.load(handle)
-            if not isinstance(record, RunRecord):
-                raise TypeError(f"cache entry is {type(record).__name__}, not RunRecord")
+                _, digest, record = parse_line(handle.read().decode("utf-8"))
         except FileNotFoundError:
             self.stats.misses += 1
             return None
@@ -198,6 +214,7 @@ class ResultCache:
             except OSError:
                 pass
             return None
+        remember_digest(record, digest)
         self.stats.hits += 1
         # Touch the entry so GC's age/LRU ordering reflects *use*, not
         # just creation: a spec re-read every sweep stays warm.
@@ -208,15 +225,19 @@ class ResultCache:
         return record
 
     def put(self, spec: "ScenarioSpec", record: RunRecord) -> Path:
-        """Store ``record`` under ``spec``'s content address (atomically)."""
+        """Store ``record`` under ``spec``'s content address (atomically).
+
+        The entry is the record's spool line, carrying its digest.
+        """
+        line = encode_line(record.spec_hash, record)
         path = self.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
         # Write-then-rename so concurrent sweep workers never observe a
-        # half-written pickle.
+        # half-written entry.
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(record, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(line.encode("ascii") + b"\n")
             os.replace(tmp_name, path)
         except BaseException:
             try:

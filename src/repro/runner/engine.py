@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from ..cluster import Cluster, Network
 from ..core import EAntConfig, EAntScheduler
+from ..core.floatsum import left_sum
 from ..energy import ClusterMeter, wasted_energy_breakdown
 from ..faults import FaultInjector
 from ..hadoop import BlockPlacer, JobTracker, TaskTracker
@@ -317,8 +318,8 @@ def execute_spec(
     def on_all_done(_event):
         cluster.finish_energy_accounting()
         snapshot["energy_by_type"] = cluster.energy_by_type()
-        snapshot["idle"] = sum(m.energy.idle_joules for m in cluster)
-        snapshot["dynamic"] = sum(m.energy.dynamic_joules for m in cluster)
+        snapshot["idle"] = left_sum(m.energy.idle_joules for m in cluster)
+        snapshot["dynamic"] = left_sum(m.energy.dynamic_joules for m in cluster)
         snapshot["utilization_by_type"] = cluster.utilization_by_type()
         snapshot["makespan"] = sim.now
         if spec.open_loop:
@@ -369,7 +370,7 @@ def execute_spec(
         scheduler_name=policy.name,
         seed=spec.seed,
         makespan=float(snapshot["makespan"]),  # type: ignore[arg-type]
-        total_energy_joules=sum(energy_by_type.values()),
+        total_energy_joules=left_sum(energy_by_type.values()),
         energy_by_type=energy_by_type,
         idle_energy_joules=float(snapshot["idle"]),  # type: ignore[arg-type]
         dynamic_energy_joules=float(snapshot["dynamic"]),  # type: ignore[arg-type]

@@ -20,9 +20,10 @@ import dataclasses
 import enum
 import functools
 import hashlib
-import json
+import operator
 from dataclasses import dataclass, field
-from typing import Any, TYPE_CHECKING, Dict, Optional, Tuple
+from json.encoder import encode_basestring_ascii as encode_json_str
+from typing import Any, TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import EAntScheduler
 from ..energy.meter import MeterReading
@@ -60,53 +61,191 @@ def dataclass_field_names(cls: type) -> Optional[Tuple[str, ...]]:
 #: ``str`` enums take the ``isinstance`` branch below, as they always did.
 _PLAIN_SCALARS = frozenset((str, int, bool, type(None)))
 
+_STR = frozenset((str,))
+#: ``"text"`` and ``text:value`` of the JSON the payload writer emits.
+_QUOTED = '"{}"'.format
+_MEMBER = "{}:{}".format
 
-def _digestable(value: Any, precision: Optional[int] = None) -> Any:
-    """Project ``value`` onto plain JSON data with *exact* float identity.
+#: Instance attribute holding a record's exact-tier digest once computed.
+_DIGEST_ATTR = "_record_digest"
 
-    Finite floats are rendered with ``float.hex()`` — a bijection on the
-    representable doubles — so two records digest equal **iff** every
-    number in them is bit-identical.  This is the equality contract the
-    differential suite and the golden corpus enforce; ``==`` on floats
-    would already do, but a hex digest survives serialization to disk.
+#: Record fields the digest never covers: host timing and the
+#: observational telemetry section (see :func:`record_digest`).
+_UNDIGESTED = frozenset(("wall_seconds", "telemetry"))
+_UNDIGESTED_NO_BACKLOG = _UNDIGESTED | {"backlog"}
 
-    With ``precision`` set, floats are instead rendered in scientific
+
+#: JSON key texts of a dataclass's fields and a getter of their values.
+_Fields = Tuple[Tuple[str, ...], Callable[[Any], Tuple[Any, ...]]]
+
+
+@functools.lru_cache(maxsize=None)
+def _sorted_fields(cls: type, omit: frozenset = frozenset()) -> _Fields:
+    """JSON key texts (``'"name":'``) of dataclass ``cls``'s fields sorted
+    by name, minus ``omit``, and a getter of their values in that order."""
+    names = [name for name in sorted(dataclass_field_names(cls)) if name not in omit]
+    keys = tuple(encode_json_str(name) + ":" for name in names)
+    if len(names) > 1:
+        return keys, operator.attrgetter(*names)
+    return keys, lambda value: tuple(getattr(value, name) for name in names)
+
+
+class _PayloadWriter:
+    """Writes the canonical digest payload of a value as JSON text.
+
+    The projection: finite floats become ``float.hex()`` strings — a
+    bijection on the representable doubles — so two values digest equal
+    **iff** every number in them is bit-identical.  This is the equality
+    contract the differential suite and the golden corpus enforce.  With
+    ``precision`` set, floats are instead rendered in scientific
     notation with that many digits after the point — a *float-tolerance*
-    projection where two records digest equal iff every number agrees to
-    ``precision + 1`` significant digits.  This is the tier the
-    large-fleet differential scenarios use: vectorized reductions over
-    thousands of machines are only contractually bit-exact for the
-    operations the 16-node corpus pins down, so scale parity is checked
-    at tolerance rather than by bit identity.
+    projection where two values digest equal iff every number agrees to
+    ``precision + 1`` significant digits, the tier the large-fleet
+    differential scenarios use.  ``%.*e`` keeps ``-0.0`` apart from
+    ``0.0`` and names nan/inf.  Enums become their values, dataclasses
+    objects of their declared fields, tuples and lists arrays, numpy
+    scalars their ``item()``, and a dict an object keyed by the ``repr``
+    of each projected key (so tuple keys work; of keys whose text
+    collides, the last inserted wins).
+
+    The text is exactly ``json.dumps(projection, sort_keys=True,
+    separators=(",", ":"))``, written in one walk without building the
+    projection.  Exact types dispatch through one table; any other type
+    is routed once through the original ``isinstance`` order (``str`` and
+    ``int`` subclasses such as ``IntEnum`` and ``str`` enums stay
+    themselves, then floats, enums, dataclasses, sequences, dicts, numpy
+    scalars) and its writer is added to the table.
     """
-    cls = type(value)
-    if cls in _PLAIN_SCALARS or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
+
+    def __init__(self, precision: Optional[int]) -> None:
         if precision is None:
-            return value.hex()
-        # %.*e canonicalizes -0.0/0.0 apart but folds last-ulp noise;
-        # nan/inf format to their names, which is fine for a digest.
-        return f"{value:.{precision}e}"
-    if isinstance(value, enum.Enum):
-        return _digestable(value.value, precision)
-    names = dataclass_field_names(cls)
-    if names is not None:
-        return {name: _digestable(getattr(value, name), precision) for name in names}
-    if isinstance(value, (tuple, list)):
-        return [_digestable(item, precision) for item in value]
-    if isinstance(value, dict):
-        # Sort by the projected key so the digest does not depend on dict
-        # insertion order (tuple keys become their repr).
-        items = [
-            (repr(_digestable(k, precision)), _digestable(v, precision))
-            for k, v in value.items()
+            self.render: Callable[[float], str] = float.hex
+        else:
+            spec = f".{precision}e"
+            self.render = lambda value: float.__format__(value, spec)
+        self._writers: Dict[type, Callable[[Any], str]] = {
+            str: encode_json_str,
+            int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): "null".format,  # ignores its argument
+            float: self._float,
+            tuple: self._sequence,
+            list: self._sequence,
+            dict: self._dict,
+        }
+
+    def write(self, value: Any) -> str:
+        writer = self._writers.get(type(value))
+        if writer is None:
+            writer = self._resolve(type(value))
+            if writer is None:
+                raise TypeError(f"cannot digest {type(value).__name__}: {value!r}")
+            self._writers[type(value)] = writer
+        return writer(value)
+
+    def write_fields(self, value: Any, fields: _Fields) -> str:
+        """``value``'s fields as an object; ``fields`` from :func:`_sorted_fields`."""
+        keys, values = fields
+        return "{" + ",".join(map(str.__add__, keys, self._texts(values(value)))) + "}"
+
+    def _texts(self, items: Sequence[Any]) -> List[str]:
+        """The JSON text of each item."""
+        if items and type(items[0]) is float:
+            # Float runs (timings, readings) in one C-level pass; the
+            # renderer refuses a non-float, which sends the whole run
+            # down the general path.
+            try:
+                return list(map(_QUOTED, map(self.render, items)))
+            except TypeError:
+                pass
+        # ``get(cls, write)`` calls a known type's writer without a frame
+        # for :meth:`write`; unknown types go through it.
+        get, write, render = self._writers.get, self.write, self.render
+        return [
+            '"' + render(item) + '"' if type(item) is float else get(type(item), write)(item)
+            for item in items
         ]
-        return {key: item for key, item in sorted(items, key=lambda kv: kv[0])}
-    # Numpy scalars (and anything else float-like) fold to exact doubles.
-    if hasattr(value, "item"):
-        return _digestable(value.item(), precision)
-    raise TypeError(f"cannot digest {type(value).__name__}: {value!r}")
+
+    def _resolve(self, cls: type) -> Optional[Callable[[Any], str]]:
+        if issubclass(cls, str):
+            return encode_json_str
+        if issubclass(cls, int):
+            return int.__repr__
+        if issubclass(cls, float):
+            return self._float
+        if issubclass(cls, enum.Enum):
+            return lambda value: self.write(value.value)
+        if dataclass_field_names(cls) is not None:
+            return functools.partial(self.write_fields, fields=_sorted_fields(cls))
+        if issubclass(cls, (tuple, list)):
+            return self._sequence
+        if issubclass(cls, dict):
+            return self._dict
+        if hasattr(cls, "item"):
+            return lambda value: self.write(value.item())
+        return None
+
+    def _float(self, value: float) -> str:
+        return '"' + self.render(value) + '"'
+
+    def _sequence(self, value: Sequence[Any]) -> str:
+        return "[" + ",".join(self._texts(value)) + "]"
+
+    def _dict(self, value: Dict[Any, Any]) -> str:
+        if _STR.issuperset(map(type, value)):
+            names = map(repr, value)
+        else:
+            names = map(self._key, value)
+        # Of keys whose text collides, the last inserted wins.
+        latest = dict(zip(names, value.values()))
+        keys = sorted(latest)
+        texts = self._texts([latest[key] for key in keys])
+        return "{" + ",".join(map(_MEMBER, map(encode_json_str, keys), texts)) + "}"
+
+    def _key(self, key: Any) -> str:
+        cls = type(key)
+        if cls is str or cls is int:
+            return repr(key)
+        if cls is tuple and _PLAIN_SCALARS.issuperset(map(type, key)):
+            return repr(list(key))
+        return repr(self._project(key))
+
+    def _project(self, value: Any) -> Any:
+        """The projected Python value of a dict key (its ``repr`` is the
+        key's text) — the one place the projection is still built."""
+        cls = type(value)
+        if cls in _PLAIN_SCALARS or isinstance(value, (int, str)):
+            return value
+        if isinstance(value, float):
+            return self.render(value)
+        if isinstance(value, enum.Enum):
+            return self._project(value.value)
+        names = dataclass_field_names(cls)
+        if names is not None:
+            return {name: self._project(getattr(value, name)) for name in names}
+        if isinstance(value, (tuple, list)):
+            return [self._project(item) for item in value]
+        if isinstance(value, dict):
+            items = sorted(
+                [(repr(self._project(k)), self._project(v)) for k, v in value.items()],
+                key=lambda kv: kv[0],
+            )
+            return dict(items)
+        if hasattr(value, "item"):
+            return self._project(value.item())
+        raise TypeError(f"cannot digest {type(value).__name__}: {value!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _writer(precision: Optional[int]) -> _PayloadWriter:
+    return _PayloadWriter(precision)
+
+
+def _record_payload(record: "RunRecord", precision: Optional[int]) -> str:
+    """The digest payload of ``record``: its declared fields minus
+    ``wall_seconds``, ``telemetry`` and an absent ``backlog``."""
+    omit = _UNDIGESTED_NO_BACKLOG if getattr(record, "backlog", None) is None else _UNDIGESTED
+    return _writer(precision).write_fields(record, _sorted_fields(type(record), omit))
 
 
 def record_digest(record: "RunRecord", precision: Optional[int] = None) -> str:
@@ -117,30 +256,38 @@ def record_digest(record: "RunRecord", precision: Optional[int] = None) -> str:
     dict ordering).  With an integer ``precision`` (the float-tolerance
     tier) floats are rounded to that many scientific-notation digits
     first, so the digest tolerates sub-ulp accumulation differences while
-    still pinning structure and every non-float value exactly.
+    still pinning structure and every non-float value exactly (see
+    :class:`_PayloadWriter`).
     ``wall_seconds`` is host timing, not simulation outcome, so it is
     excluded either way — as is the ``telemetry`` section, an
     observational time-series whose sample count depends on the sampling
     interval.  Dropping it keeps the digest payload byte-identical to
     records produced before telemetry existed, so frozen golden digests
-    survive.  The projection walks declared fields only, so a record
-    unpickled from an older spool that still carries a since-removed
-    attribute (``profile``) digests as it always did.
+    survive; an absent ``backlog`` is dropped for the same reason.  The
+    projection walks declared fields only, so a record unpickled from an
+    older spool that still carries a since-removed attribute
+    (``profile``) digests as it always did.
+
+    The exact-tier digest is computed once per record and kept on the
+    instance (like :meth:`ScenarioSpec.spec_hash`): a record is frozen,
+    and the kept value takes no part in ``==`` or the pickled state.
     """
-    stripped = record
-    if getattr(record, "telemetry", None) is not None:
-        # Null the section *before* projecting: ndarray columns are not
-        # digestable, and they must not be.
-        stripped = dataclasses.replace(record, telemetry=None)
-    data = _digestable(stripped, precision)
-    data.pop("wall_seconds", None)
-    data.pop("telemetry", None)
-    if data.get("backlog") is None:
-        # Key absent when empty: closed-loop records keep the digest
-        # payload they had before open-loop mode existed.
-        data.pop("backlog", None)
-    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    if precision is None:
+        digest = record.__dict__.get(_DIGEST_ATTR)
+        if digest is not None:
+            return digest
+    payload = _record_payload(record, precision)
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    if precision is None:
+        object.__setattr__(record, _DIGEST_ATTR, digest)
+    return digest
+
+
+def remember_digest(record: "RunRecord", digest: str) -> None:
+    """Seed ``record``'s kept exact-tier digest with one stored alongside
+    it by a trusted writer (a salted cache generation), so
+    :func:`record_digest` does not recompute it."""
+    object.__setattr__(record, _DIGEST_ATTR, digest)
 
 
 @dataclass(frozen=True)
@@ -247,6 +394,12 @@ class RunRecord:
     #: seconds of wall-clock time the producing run took (0.0 on restore
     #: from cache the field keeps the *original* run's cost)
     wall_seconds: float = 0.0
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle the fields only; the receiver re-derives the digest."""
+        state = dict(self.__dict__)
+        state.pop(_DIGEST_ATTR, None)
+        return state
 
 
 def build_record(spec: "ScenarioSpec", result: "ScenarioResult", wall_seconds: float = 0.0) -> RunRecord:

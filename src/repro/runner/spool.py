@@ -116,12 +116,13 @@ def _utf8(raw: bytes) -> str:
         raise SpoolLineError(f"not valid UTF-8 (byte {error.start})") from None
 
 
-def decode_line(text: str) -> Tuple[str, str, RunRecord]:
-    """Parse and *verify* one spool line -> ``(spec_hash, digest, record)``.
+def parse_line(text: str) -> Tuple[str, str, RunRecord]:
+    """Parse one spool line -> ``(spec_hash, claimed digest, record)``.
 
-    Raises :class:`SpoolLineError` on any damage: bad JSON, missing keys,
-    wrong version, checksum mismatch, unpicklable payload, wrong type, or
-    a record that does not reproduce its claimed digest.
+    Checks everything but the digest: raises :class:`SpoolLineError` on
+    bad JSON, missing keys, wrong version, checksum mismatch, unpicklable
+    payload, wrong type, or a record of another spec.  The claimed digest
+    is *not* recomputed; :func:`decode_line` does that.
     """
     try:
         data = json.loads(text)
@@ -156,6 +157,18 @@ def decode_line(text: str) -> Tuple[str, str, RunRecord]:
             f"record belongs to spec {record.spec_hash[:12]}, line claims "
             f"{str(spec_hash)[:12]}"
         )
+    return spec_hash, digest, record
+
+
+def decode_line(text: str) -> Tuple[str, str, RunRecord]:
+    """Parse and *verify* one spool line -> ``(spec_hash, digest, record)``.
+
+    Raises :class:`SpoolLineError` on any damage :func:`parse_line`
+    finds, or on a record that does not reproduce its claimed digest.
+    The digest is recomputed on the freshly unpickled record because
+    spools are merged across machines and code versions.
+    """
+    spec_hash, digest, record = parse_line(text)
     if record_digest(record) != digest:
         raise SpoolLineError("record does not reproduce its claimed digest")
     return spec_hash, digest, record

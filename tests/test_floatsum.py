@@ -3,20 +3,27 @@
 ``pairwise_sum`` must round exactly as ``ndarray.sum()`` does, and
 ``sample_index`` must pick exactly the index the numpy
 ``cdf``/``searchsorted`` form picked, or E-Ant's RNG draws (and every
-golden digest) move.  ``left_sum`` and ``TaskEnergyModel.estimate`` must
-not follow builtin ``sum()``, which compensates float sums from Python
-3.12 on.
+golden digest) move.  ``left_sum``, ``TaskEnergyModel.estimate`` and the
+fleet totals and means in ``RunMetrics`` must not follow builtin
+``sum()``, which compensates float sums from Python 3.12 on.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import DESKTOP, T420, Cluster, Machine
 from repro.core import EAntScheduler
 from repro.core.floatsum import left_sum, pairwise_sum
 from repro.core.scheduler import sample_index
 from repro.energy.model import TaskEnergyModel, UtilizationSample
+from repro.runner import ScenarioSpec
+from repro.runner.engine import execute_spec
+from repro.simulation import Simulator
+from repro.workloads import puma_job
 
 finite_weights = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -105,3 +112,55 @@ def test_estimate_folds_left_to_right_on_every_interpreter():
 def test_left_sum_of_nothing_is_int_zero_like_sum():
     assert left_sum([]) == 0 and type(left_sum([])) is int
     assert TaskEnergyModel(80.0, 120.0, 6).estimate([]) == 0
+
+
+#: ``1e16 + 1.0`` rounds back to ``1e16``, so the left fold of these
+#: loses the 1.0 that a compensated sum (3.12's ``sum()``) keeps.
+CANCELLING = [1e16, 1.0, -1e16]
+
+
+def _left_fold_only(values):
+    """``left_sum(values)``, after checking a compensated sum differs."""
+    assert left_sum(values) != math.fsum(values)
+    return left_sum(values)
+
+
+def test_run_metrics_energy_totals_fold_left_to_right(monkeypatch):
+    """The fleet's idle, dynamic and total joules in ``RunMetrics``."""
+    idle = CANCELLING + [0.0, 0.0, 0.0]
+    dynamic = [0.0, 0.0, 0.0] + CANCELLING
+    finish = Cluster.finish_energy_accounting
+
+    def finish_with_crafted_energy(cluster):
+        # One machine per model carries that model's joules, so the
+        # per-model totals are ``idle[k] + dynamic[k]``.
+        finish(cluster)
+        first_of_model = {}
+        for machine in cluster:
+            first_of_model.setdefault(machine.spec.model, machine)
+            machine.energy.idle_joules = machine.energy.dynamic_joules = 0.0
+        assert len(first_of_model) == len(idle)
+        for machine, i, d in zip(first_of_model.values(), idle, dynamic):
+            machine.energy.idle_joules, machine.energy.dynamic_joules = i, d
+
+    monkeypatch.setattr(Cluster, "finish_energy_accounting", finish_with_crafted_energy)
+    spec = ScenarioSpec(jobs=(puma_job("grep", 0.25),), scheduler="fifo", seed=1)
+    metrics = execute_spec(spec).metrics
+    by_type = [i + d for i, d in zip(idle, dynamic)]
+    assert list(metrics.energy_by_type.values()) == by_type
+    assert metrics.idle_energy_joules == _left_fold_only(idle)
+    assert metrics.dynamic_energy_joules == _left_fold_only(dynamic)
+    assert metrics.total_energy_joules == _left_fold_only(by_type)
+
+
+def test_utilization_by_type_means_fold_left_to_right(monkeypatch):
+    cluster = Cluster(Simulator(), [(DESKTOP, 3), (T420, 1)])
+    desktops = [m.machine_id for m in cluster if m.spec.model == DESKTOP.model]
+    utilization = dict(zip(desktops, CANCELLING))
+    monkeypatch.setattr(
+        Machine, "average_utilization",
+        lambda self, now=None: utilization.get(self.machine_id, 0.5),
+    )
+    means = cluster.utilization_by_type()
+    assert means[DESKTOP.model] == _left_fold_only(CANCELLING) / 3
+    assert means[T420.model] == 0.5

@@ -1,12 +1,22 @@
 """Result-cache behavior: hit/miss, salt invalidation, corruption healing."""
 
+import base64
+import json
 import pickle
+import struct
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.runner import ResultCache, ScenarioSpec, code_version_salt
+from repro.runner import (
+    ResultCache,
+    ResultSpool,
+    RunRecord,
+    ScenarioSpec,
+    SweepRunner,
+    code_version_salt,
+)
 from repro.runner.cache import SALT_ENV
 from repro.workloads import puma_job
 
@@ -112,6 +122,72 @@ class TestCorruption:
         path.write_bytes(pickle.dumps({"not": "a RunRecord"}))
         assert cache.get(spec) is None
         assert cache.stats.evictions == 1
+
+
+def _grid():
+    return [
+        ScenarioSpec(jobs=(puma_job("grep", 0.5),), scheduler=scheduler, seed=seed)
+        for scheduler in ("fifo", "fair")
+        for seed in (1, 2)
+    ]
+
+
+def _sweep(cache, grid, spool_path):
+    runner = SweepRunner(workers=1, cache=cache)
+    digest = runner.run_spooled(grid, ResultSpool(spool_path)).digest()
+    report = runner.last_report
+    return digest, (report.resumed, report.cache_hits, report.executed)
+
+
+class TestDamagedEntryIsRerun:
+    """A damaged entry is a miss that is evicted, and the sweep re-runs
+    exactly that spec to the same result set."""
+
+    def test_altered_float_in_the_payload(self, tmp_path):
+        grid = _grid()
+        cold, counts = _sweep(ResultCache(tmp_path / "cache"), grid, tmp_path / "cold.jsonl")
+        assert counts == (0, 0, len(grid))
+
+        # Change the idle joules inside the pickled record, keeping the
+        # line well-formed: the payload still unpickles to a valid RunRecord.
+        cache = ResultCache(tmp_path / "cache")
+        path = cache.path_for(grid[1])
+        line = json.loads(path.read_text())
+        raw = base64.b64decode(line["payload"])
+        idle = pickle.loads(raw).metrics.idle_energy_joules
+        packed = struct.pack(">d", idle)  # a pickle BINFLOAT's bytes
+        assert raw.count(packed) == 1
+        raw = raw.replace(packed, struct.pack(">d", idle + 1.0))
+        altered = pickle.loads(raw)
+        assert isinstance(altered, RunRecord)
+        assert altered.metrics.idle_energy_joules == idle + 1.0
+        line["payload"] = base64.b64encode(raw).decode("ascii")
+        path.write_text(json.dumps(line) + "\n")
+
+        warm, counts = _sweep(cache, grid, tmp_path / "warm.jsonl")
+        assert counts == (0, len(grid) - 1, 1)
+        assert (cache.stats.misses, cache.stats.evictions) == (1, 1)
+        assert warm == cold
+        # The re-run stored the right record again.
+        assert cache.get(grid[1]).metrics.idle_energy_joules == idle
+
+    def test_bare_pickle_entry_of_the_old_layout(self, tmp_path, monkeypatch):
+        """Under a pinned salt an entry written by the pickle-only layout
+        sits at the same path: it is a miss, evicted and re-run."""
+        monkeypatch.setenv(SALT_ENV, "pinned-salt")
+        grid = _grid()
+        cold, _ = _sweep(ResultCache(tmp_path / "cold-cache"), grid, tmp_path / "cold.jsonl")
+        cache = ResultCache(tmp_path / "cache")
+        for spec in grid:
+            path = cache.path_for(spec)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(pickle.dumps(spec.run_record(), protocol=pickle.HIGHEST_PROTOCOL))
+
+        again, counts = _sweep(cache, grid, tmp_path / "again.jsonl")
+        assert counts == (0, 0, len(grid))
+        assert cache.stats.evictions == len(grid)
+        assert again == cold
+        assert all(cache.get(spec) is not None for spec in grid)
 
 
 class TestClearGeneration:

@@ -14,13 +14,13 @@ from typing import Any, Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import EAntConfig, ExchangeLevel
 from repro.experiments import run_scenario
 from repro.runner import SPEC_VERSION, ScenarioSpec
-from repro.runner.record import _digestable
+from repro.runner.record import _writer
 from repro.runner.spec import _jsonable
 from repro.workloads import puma_job
 
@@ -264,22 +264,64 @@ _values = st.recursive(
 )
 
 
+#: Dict keys of the digest projection: besides the plain keys, ``-0.0``,
+#: ``nan``, enum members, numpy scalars, and strings spelling the
+#: projected text of a float key, so distinct keys collide.
+_digest_keys = st.one_of(
+    _keys,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, math.nan, 1.0, *Color, *Level, *Mode]),
+    st.sampled_from(
+        ["-0x0.0p+0", "nan", "0x1.0000000000000p+0", "1.000000000e+00", "1"]
+    ),
+    st.floats(width=32).map(np.float32),
+    st.integers(-5, 5).map(np.int64),
+    st.tuples(st.sampled_from([*Level, *Mode]), st.floats(allow_nan=True)),
+)
+_digest_values = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.builds(Pair, children, children),
+        st.builds(Nested, st.builds(Pair, children, children),
+                  st.lists(children, max_size=3).map(tuple), children),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4),
+        st.lists(st.floats(allow_nan=True), min_size=1, max_size=4),
+        st.dictionaries(_digest_keys, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
 class TestProjectionEquivalence:
-    """The fast projections match the reference copies above exactly —
-    ``repr`` equality, so ``IntEnum``/``str``-enum members, numpy scalars,
-    ``-0.0`` and ``nan`` must come back as the same types and values."""
+    """The fast projection and the digest payload writer match the
+    reference copies above exactly: ``IntEnum``/``str``-enum members,
+    numpy scalars, ``-0.0`` and ``nan`` must come out as the same types,
+    values and text."""
 
     @settings(max_examples=300, deadline=None)
     @given(value=_values)
     def test_jsonable_matches_reference(self, value):
         assert repr(_jsonable(value)) == repr(reference_jsonable(value))
 
-    @settings(max_examples=300, deadline=None)
-    @given(value=_values, precision=st.sampled_from([None, 9]))
-    def test_digestable_matches_reference(self, value, precision):
-        assert repr(_digestable(value, precision)) == repr(
-            reference_digestable(value, precision)
+    @settings(max_examples=400, deadline=None)
+    @given(value=_digest_values, precision=st.sampled_from([None, 9]))
+    @example(value={1.0: "float", "0x1.0000000000000p+0": "hex"}, precision=None)
+    @example(value={"1.000000000e+00": "text", 1.0: "float"}, precision=9)
+    @example(value={-0.0: 1, "-0x0.0p+0": 2, math.nan: 3, "nan": 4}, precision=None)
+    @example(value={Color.RED: "enum", 1.5: "x", 1: "int"}, precision=None)
+    @example(value={(1, "a"): [np.float64(-0.0), Level.HIGH], Mode.FAST: ()},
+             precision=9)
+    def test_digest_payload_matches_reference(self, value, precision):
+        """The direct writer emits exactly the JSON text of the reference
+        projection — including which of several keys whose projected
+        ``repr`` collides wins (the last inserted)."""
+        expected = json.dumps(
+            reference_digestable(value, precision),
+            sort_keys=True,
+            separators=(",", ":"),
         )
+        assert _writer(precision).write(value).encode() == expected.encode()
 
 
 class TestRunEquivalence:
