@@ -505,10 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the scheduler core behind an asyncio NDJSON server "
         "(see docs/serving.md); each message stamps the daemon's scaled "
         "wall clock, and a control interval fires when that clock passes "
-        "its deadline.  With --loadgen, additionally drive it "
-        "with open-loop synthetic heartbeats and print the measured "
-        "throughput/latency summary; with --bench, run the daemon in a "
-        "subprocess and measure the BENCH_serve.json throughput gate.",
+        "its deadline.  With --loadgen, run the daemon in a subprocess on "
+        "a private UNIX socket, drive it with open-loop synthetic "
+        "heartbeats and print the measured throughput/latency summary.",
     )
     serve.set_defaults(handler=_cmd_serve, seed=3)
     serve.add_argument(
@@ -521,12 +520,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port",
         type=int,
-        help="TCP port (default 7077, or an ephemeral port under --loadgen)",
+        help="TCP port (default 7077; not with --loadgen)",
     )
     serve.add_argument(
         "--socket",
         metavar="PATH",
-        help="serve on a UNIX-domain socket instead of TCP",
+        help="serve on a UNIX-domain socket instead of TCP (not with --loadgen)",
     )
     serve.add_argument(
         "--time-scale",
@@ -535,22 +534,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated seconds per wall second (a control interval fires "
         "on the first message after each 300 simulated seconds, i.e. about "
         "every 300/X wall seconds under steady traffic; default 1.0 = real "
-        "time, or 600 under --loadgen/--bench so intervals fire within a "
+        "time, or 600 under --loadgen so intervals fire within a "
         "short run)",
     )
     serve.add_argument(
         "--loadgen",
         type=float,
         metavar="RATE",
-        help="also run the open-loop load generator at RATE heartbeats/sec "
-        "against the daemon, in-process",
+        help="measure the daemon under the open-loop load generator at "
+        "RATE heartbeats/sec",
     )
     serve.add_argument(
         "--duration",
         type=float,
         default=5.0,
         metavar="SECONDS",
-        help="load-generation length in wall seconds (with --loadgen/--bench)",
+        help="load-generation length in wall seconds (with --loadgen)",
     )
     serve.add_argument(
         "--connections",
@@ -574,15 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
         "wall seconds) instead of the fixed-interval synthetic jobs",
     )
     serve.add_argument(
-        "--bench",
-        action="store_true",
-        help="run the throughput benchmark (daemon in a subprocess over a "
-        "UNIX socket; loadgen in this process)",
-    )
-    serve.add_argument(
         "--bench-out",
         metavar="FILE.json",
-        help="also write the --loadgen/--bench summary JSON to FILE",
+        help="also write the --loadgen summary JSON to FILE",
     )
     return parser
 
@@ -1313,24 +1306,26 @@ def _validate_serve(args: argparse.Namespace) -> None:
         raise cli_error(f"--port must be in [0, 65535] (got {args.port})")
     if args.socket is not None and args.port is not None:
         raise cli_error("--socket and --port are mutually exclusive")
+    if args.loadgen is not None and (args.socket is not None or args.port is not None):
+        raise cli_error(
+            "--loadgen serves on its own private socket; drop --port/--socket"
+        )
     _positive_finite(args.time_scale, "--time-scale")
     _positive_finite(args.loadgen, "--loadgen")
     _positive_finite(args.duration, "--duration")
     if args.connections < 1:
         raise cli_error(f"--connections must be at least 1 (got {args.connections})")
     _positive_finite(args.service_time, "--service-time")
-    if args.trace is not None and args.bench:
-        raise cli_error("--trace is not supported under --bench (fixed workload)")
     if args.trace is not None and args.loadgen is None:
         raise cli_error("--trace needs --loadgen (it replaces its submit schedule)")
     if args.bench_out is not None and not args.bench_out.endswith(".json"):
         raise cli_error(f"--bench-out {args.bench_out!r}: expected a .json destination")
-    if args.bench_out is not None and not (args.bench or args.loadgen is not None):
-        raise cli_error("--bench-out needs --bench or --loadgen (nothing to measure)")
+    if args.bench_out is not None and args.loadgen is None:
+        raise cli_error("--bench-out needs --loadgen (nothing to measure)")
 
 
 def _emit_summary(summary: dict, path: Optional[str]) -> int:
-    """Print a ``--loadgen``/``--bench`` summary, also to ``--bench-out``."""
+    """Print a ``--loadgen`` summary, also to ``--bench-out``."""
     text = json.dumps(summary, indent=2)
     print(text)
     if path:
@@ -1346,37 +1341,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     _validate_serve(args)
-    load_mode = args.bench or args.loadgen is not None
-    # Real time for a long-lived daemon; compressed time under load
-    # generation so the paper's 300 s control interval fires within a
-    # seconds-long run.
-    time_scale = args.time_scale if args.time_scale is not None else (
-        600.0 if load_mode else 1.0
-    )
+    from .serve import ServeDaemon, ServeEngine, run_serve_benchmark
 
-    from .serve import (
-        MAX_LINE_BYTES,
-        LoadGenerator,
-        ServeDaemon,
-        ServeEngine,
-        fleet_tracker_infos,
-        run_serve_benchmark,
-    )
-    from .serve.bench import DEFAULT_BENCH
-
-    if args.bench:
+    if args.loadgen is not None:
+        # Compressed time, so the paper's 300 s control interval fires
+        # within a seconds-long run.
         summary = run_serve_benchmark(
-            rate=args.loadgen if args.loadgen is not None else DEFAULT_BENCH["rate"],
+            rate=args.loadgen,
             duration=args.duration,
             scheduler=args.scheduler,
             seed=args.seed,
             nodes=args.nodes,
             connections=args.connections,
             service_time=args.service_time,
-            time_scale=time_scale,
+            time_scale=args.time_scale if args.time_scale is not None else 600.0,
+            trace=load_trace(args.trace) if args.trace else None,
         )
         return _emit_summary(summary, args.bench_out)
 
+    time_scale = args.time_scale if args.time_scale is not None else 1.0
     engine = ServeEngine(
         scheduler=args.scheduler,
         seed=args.seed,
@@ -1386,44 +1369,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     daemon = ServeDaemon(
         engine,
         host=args.host,
-        port=(args.port if args.port is not None else (0 if load_mode else 7077)),
+        port=args.port if args.port is not None else 7077,
         path=args.socket,
         time_scale=time_scale,
     )
-
-    if args.loadgen is not None:
-        # In-process smoke: daemon and loadgen share this event loop.
-        # Client and server contend for one interpreter, so this measures
-        # correctness and rough latency; `--bench` isolates the daemon in
-        # a subprocess for the honest throughput number.
-        generator = LoadGenerator(
-            rate=args.loadgen,
-            duration=args.duration,
-            trackers=fleet_tracker_infos(args.nodes, args.seed),
-            connections=args.connections,
-            service_time=args.service_time,
-            time_scale=time_scale,
-            trace=load_trace(args.trace) if args.trace else None,
-        )
-
-        async def _run_loadgen() -> dict:
-            await daemon.start()
-
-            async def open_connection():
-                if args.socket is not None:
-                    return await asyncio.open_unix_connection(
-                        args.socket, limit=MAX_LINE_BYTES
-                    )
-                return await asyncio.open_connection(
-                    args.host, daemon.bound_port, limit=MAX_LINE_BYTES
-                )
-
-            stats = await generator.run(open_connection)
-            daemon.request_stop()
-            await daemon.wait_stopped()
-            return stats.summary()
-
-        return _emit_summary(asyncio.run(_run_loadgen()), args.bench_out)
 
     async def _run_daemon() -> dict:
         await daemon.start()

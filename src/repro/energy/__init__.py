@@ -8,14 +8,12 @@ from .model import (
     DEFAULT_DELTA_T,
     TaskEnergyModel,
     UtilizationSample,
-    estimate_task_energy,
     samples_from_phases,
 )
 
 __all__ = [
     "TaskEnergyModel",
     "UtilizationSample",
-    "estimate_task_energy",
     "samples_from_phases",
     "DEFAULT_DELTA_T",
     "fit_power_model",

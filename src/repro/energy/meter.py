@@ -97,10 +97,3 @@ class ClusterMeter:
         """(utilizations, powers) pairs for least-squares fitting."""
         series = self.series_for(machine_id)
         return [r.utilization for r in series], [r.power_watts for r in series]
-
-    def average_power(self, machine_id: int) -> float:
-        """Mean sampled power of one machine (W)."""
-        series = self.series_for(machine_id)
-        if not series:
-            raise ValueError(f"no readings for machine {machine_id}")
-        return sum(r.power_watts for r in series) / len(series)

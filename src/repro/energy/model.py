@@ -24,7 +24,6 @@ from ..cluster import MachineSpec
 __all__ = [
     "UtilizationSample",
     "TaskEnergyModel",
-    "estimate_task_energy",
     "samples_from_phases",
 ]
 
@@ -119,14 +118,6 @@ class TaskEnergyModel:
         if duration < 0:
             raise ValueError("duration must be non-negative")
         return (self.idle_share_watts + self.alpha_watts * avg_utilization) * duration
-
-
-def estimate_task_energy(
-    spec: MachineSpec,
-    samples: Sequence[UtilizationSample],
-) -> float:
-    """One-shot Eq. 2 estimate using the spec's own power parameters."""
-    return TaskEnergyModel.for_spec(spec).estimate(samples)
 
 
 def samples_from_phases(

@@ -9,7 +9,8 @@ two approaches can be compared on the same simulated cluster:
 * :class:`SleepPolicy` — a machine outside the covering subset powers down
   after ``idle_timeout`` seconds without resident tasks, paying
   ``sleep_watts`` instead of its idle floor; waking it to place a task
-  costs ``wakeup_delay`` seconds added to the first task's runtime.
+  records a ``wakeup_delay`` resume penalty, which is not simulated (no
+  task's runtime includes it).
 * :class:`PowerManager` — tracks per-machine state, integrates the saved
   idle energy, and exposes the wake/asleep surface the covering-subset
   scheduler uses.
@@ -55,8 +56,9 @@ class PowerManager:
     Machines in ``covering_subset`` never sleep (they hold the covering
     replica set, preserving data availability).  The manager is advisory:
     the scheduler must call :meth:`notify_idle` / :meth:`notify_busy` as
-    tasks come and go, and consult :meth:`is_asleep` +
-    :meth:`wake_penalty` when placing work.
+    tasks come and go, and consult :meth:`is_asleep` when placing work.
+    :meth:`notify_busy` returns the wake-up delay for the caller to
+    record; nothing here delays a task.
     """
 
     cluster: Cluster
@@ -84,10 +86,6 @@ class PowerManager:
     def may_sleep(self, machine_id: int) -> bool:
         return machine_id not in self.covering_subset
 
-    def wake_penalty(self, machine_id: int) -> float:
-        """Seconds a task placed on this machine loses to resume."""
-        return self.policy.wakeup_delay if self.is_asleep(machine_id) else 0.0
-
     @property
     def total_saved_joules(self) -> float:
         return sum(self.saved_joules.values())
@@ -96,7 +94,8 @@ class PowerManager:
     def notify_busy(self, machine_id: int, now: float) -> float:
         """A task is being placed; wake the machine if needed.
 
-        Returns the wake penalty (seconds) the placement incurs.
+        Returns the wake penalty (seconds) the placement would incur; it
+        is recorded by the caller, not added to any task's runtime.
         """
         penalty = 0.0
         slept_at = self._asleep_since.pop(machine_id, None)

@@ -70,7 +70,6 @@ from .motivation import (
 )
 from .overhead import (
     OverheadResult,
-    measure_solver_overhead,
     measure_update_overhead,
     testbed_problem,
 )
@@ -164,7 +163,6 @@ __all__ = [
     "fig12b_interval_sweep",
     "OverheadResult",
     "testbed_problem",
-    "measure_solver_overhead",
     "measure_update_overhead",
     "FigureResult",
     "FIGURE_NAMES",

@@ -55,11 +55,6 @@ class FigureResult:
     series_notes: Dict[str, str] = field(default_factory=dict)
     notes: Tuple[str, ...] = ()
 
-    @property
-    def rows(self) -> Tuple[str, ...]:
-        """All data rows in series order, without commentary."""
-        return tuple(row for rows in self.series.values() for row in rows)
-
     def render(self) -> str:
         """The figure as the CLI prints it (rows + ``# …`` commentary)."""
         lines = []

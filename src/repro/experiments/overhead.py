@@ -1,9 +1,10 @@
 """Scheduling-overhead measurement (Section VI-D).
 
 The paper reports that the self-adaptive ACO algorithm takes ~120 ms per
-solve, negligible against the 5-minute control interval.  We measure both
-the batch construction-graph solver on a testbed-sized instance and the
-per-interval pheromone update of the online scheduler.
+solve, negligible against the 5-minute control interval.  This module
+builds the testbed-sized batch instance (``benchmarks/test_overhead.py``
+times the construction-graph solver on it) and times the per-interval
+pheromone update of the online scheduler.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from typing import List
 
 import numpy as np
 
-from ..core import AcoSolver, AssignmentProblem, ExchangeLevel, PheromoneTable, TaskFeedback
+from ..core import AssignmentProblem, ExchangeLevel, PheromoneTable, TaskFeedback
 
-__all__ = ["OverheadResult", "testbed_problem", "measure_solver_overhead", "measure_update_overhead"]
+__all__ = ["OverheadResult", "testbed_problem", "measure_update_overhead"]
 
 
 @dataclass(frozen=True)
@@ -38,26 +39,6 @@ def testbed_problem(
     energy = rng.uniform(80.0, 400.0, size=(n_machines, n_tasks))
     slots = [6] * n_machines
     return AssignmentProblem.from_matrix(energy.tolist(), slots)
-
-
-def measure_solver_overhead(
-    problem: AssignmentProblem = None,
-    repetitions: int = 5,
-) -> OverheadResult:
-    """Time the batch ACO solver (the paper's ~120 ms figure)."""
-    if problem is None:
-        problem = testbed_problem()
-    solver = AcoSolver(n_ants=8, n_iterations=20, seed=1)
-    durations: List[float] = []
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        solver.solve(problem)
-        durations.append(time.perf_counter() - start)
-    return OverheadResult(
-        label="aco-batch-solve",
-        mean_seconds=sum(durations) / len(durations),
-        repetitions=repetitions,
-    )
 
 
 def measure_update_overhead(

@@ -184,11 +184,6 @@ class JobTracker:
         """
         self.core.attach_telemetry(sink)
 
-    @property
-    def telemetry(self):
-        """The core's attached telemetry sink (None when detached)."""
-        return self.core.telemetry
-
     def expect_jobs(self, count: int) -> None:
         """Declare the total number of jobs this run will submit.
 
@@ -597,10 +592,6 @@ class JobTracker:
         if task.state.value == "running":
             task.job.requeue(task)
             self._work_appeared()
-
-    # ---------------------------------------------------------------- queries
-    def job(self, job_id: int) -> Job:
-        return self.jobs[job_id]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

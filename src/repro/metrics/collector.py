@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster import Cluster
+from ..core.floatsum import left_sum
 from ..hadoop import HadoopConfig, JobTracker, TaskKind, TaskReport
 from ..workloads import JobSpec
 from .fairness import estimate_standalone_jct, fairness_from_slowdowns, slowdown
@@ -186,7 +187,7 @@ class RunMetrics:
     def mean_jct(self) -> float:
         if not self.job_results:
             raise ValueError("no completed jobs")
-        return sum(j.completion_time for j in self.job_results) / len(self.job_results)
+        return left_sum(j.completion_time for j in self.job_results) / len(self.job_results)
 
     def mean_jct_by_class(self) -> Dict[Tuple[str, str], float]:
         """(application, size_class) -> mean completion time (Fig. 8(c))."""
@@ -194,7 +195,7 @@ class RunMetrics:
         for job in self.job_results:
             key = (job.application, job.size_class or "all")
             sums.setdefault(key, []).append(job.completion_time)
-        return {key: sum(values) / len(values) for key, values in sums.items()}
+        return {key: left_sum(values) / len(values) for key, values in sums.items()}
 
     def summary(self) -> str:
         """One-paragraph human-readable roll-up."""

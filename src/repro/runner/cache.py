@@ -351,26 +351,3 @@ class ResultCache:
         report.kept = report.scanned - report.removed
         report.removed_hashes.sort()
         return report
-
-    def clear_generation(self) -> int:
-        """Delete every entry of the current code generation; returns the
-        number of records removed."""
-        removed = 0
-        root = self.generation_dir
-        if not root.exists():
-            return 0
-        for path in sorted(root.rglob("*"), reverse=True):
-            if path.is_file():
-                if path.suffix == ".pkl":
-                    removed += 1
-                path.unlink()
-            else:
-                try:
-                    path.rmdir()
-                except OSError:
-                    pass
-        try:
-            root.rmdir()
-        except OSError:
-            pass
-        return removed

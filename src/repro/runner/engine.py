@@ -39,7 +39,6 @@ from ..observability import (
     write_jsonl,
 )
 from ..schedulers import (
-    CapacityScheduler,
     CoveringSubsetScheduler,
     FairScheduler,
     FifoScheduler,
@@ -57,7 +56,7 @@ __all__ = ["ScenarioResult", "execute_spec", "make_scheduler", "SCHEDULER_NAMES"
 
 SchedulerFactory = Callable[[RandomStreams], Scheduler]
 
-SCHEDULER_NAMES = ("fifo", "fair", "capacity", "tarazu", "late", "covering-subset", "e-ant")
+SCHEDULER_NAMES = ("fifo", "fair", "tarazu", "late", "covering-subset", "e-ant")
 
 
 def make_scheduler(
@@ -71,8 +70,6 @@ def make_scheduler(
         return FifoScheduler()
     if key == "fair":
         return FairScheduler()
-    if key == "capacity":
-        return CapacityScheduler()
     if key == "covering-subset":
         return CoveringSubsetScheduler()
     if key == "tarazu":

@@ -319,10 +319,6 @@ class ConvergenceRecord:
     converged_times: Tuple[float, ...]
     total_colonies: int
 
-    @property
-    def converged_colonies(self) -> int:
-        return len(self.converged_times)
-
 
 @dataclass(frozen=True)
 class BacklogRecord:

@@ -6,7 +6,6 @@ contribution, not a baseline) but implements the same
 """
 
 from .base import Scheduler
-from .capacity import CapacityScheduler
 from .covering import CoveringSubsetScheduler
 from .fair import FairScheduler
 from .fifo import FifoScheduler
@@ -15,7 +14,6 @@ from .tarazu import TarazuScheduler
 
 __all__ = [
     "Scheduler",
-    "CapacityScheduler",
     "CoveringSubsetScheduler",
     "FifoScheduler",
     "FairScheduler",

@@ -130,10 +130,6 @@ class Scheduler(abc.ABC):
             )
 
     # ----------------------------------------------------------- shared bits
-    def active_jobs(self) -> List[Job]:
-        """Jobs admitted and not yet finished, in submission order."""
-        return list(self.jt.active_jobs)
-
     def jobs_with_pending_maps(self) -> List[Job]:
         return [job for job in self.jt.active_jobs if job.pending_map_count > 0]
 

@@ -2,8 +2,9 @@
 
 An *intrusive* energy baseline: all block replicas needed for availability
 live on a small always-on covering subset; the remaining machines sleep
-when idle and are only woken when the covering subset is saturated.  Tasks
-placed on a sleeping machine pay a wake-up delay.
+when idle and are only woken when the covering subset is saturated.  Each
+wake-up's resume delay is recorded in :attr:`wake_events`, not simulated:
+no task's runtime includes it.
 
 The scheduler composes fair sharing (job ordering) with subset-first
 placement, and drives a :class:`~repro.energy.powermgmt.PowerManager`
@@ -102,10 +103,8 @@ class CoveringSubsetScheduler(FairScheduler):
                     self.trace_scheduler_event(
                         detail="wake", machine_id=machine_id, penalty_s=penalty
                     )
-                # Model resume latency by charging the wake-up to the first
-                # task's start (a pre-phase the tracker runs implicitly via
-                # the heartbeat gap); recorded for the benchmark's latency
-                # accounting.
+                # The resume delay is recorded for the benchmark's latency
+                # accounting, not simulated: the tasks start at once.
                 self.wake_events.append((now, machine_id, penalty))
         elif status.running_maps == 0 and status.running_reduces == 0:
             self.power.notify_idle(machine_id, now)

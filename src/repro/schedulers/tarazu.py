@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..core.floatsum import left_sum
 from ..hadoop.job import Job, Task
 from ..hadoop.tasktracker import TrackerStatus
 from .fair import FairScheduler
@@ -46,7 +47,7 @@ class TarazuScheduler(FairScheduler):
     def bind(self, jobtracker) -> None:
         super().bind(jobtracker)
         cluster = jobtracker.cluster
-        total = sum(m.spec.cores * m.spec.cpu_speed for m in cluster)
+        total = left_sum(m.spec.cores * m.spec.cpu_speed for m in cluster)
         self._compute_weights = {
             m.machine_id: (m.spec.cores * m.spec.cpu_speed) / total for m in cluster
         }

@@ -11,8 +11,8 @@ The package splits along the protocol seam the core API established:
 - :mod:`~repro.serve.loadgen` — :class:`LoadGenerator`, open-loop
   synthetic heartbeat traffic for smoke tests and benchmarks.
 - :mod:`~repro.serve.bench` — :func:`run_serve_benchmark`, the
-  daemon-in-a-subprocess throughput measurement behind
-  ``BENCH_serve.json``.
+  daemon-in-a-subprocess load run behind ``repro serve --loadgen`` and
+  the ``BENCH_serve.json`` gate.
 """
 
 from .bench import run_serve_benchmark

@@ -1,4 +1,4 @@
-"""Closed-box throughput benchmark for the serve daemon.
+"""The daemon-in-a-subprocess load run behind ``repro serve --loadgen``.
 
 The daemon runs in a **separate process** (spawned, not forked, so the
 child has a clean interpreter) bound to a UNIX-domain socket, and the
@@ -8,39 +8,25 @@ can actually sustain.  The parent measures the offered/achieved heartbeat
 rate and client-side round-trip quantiles; the child's own
 decision-latency histogram comes back in the final stats message.
 
-``python -m repro.serve.bench`` (or ``repro serve --bench``) prints the
-summary JSON; ``benchmarks/check_regression.py`` gates it against
-``BENCH_serve.json``.
+``repro serve --loadgen RATE`` prints the summary JSON;
+``benchmarks/check_regression.py`` gates it against ``BENCH_serve.json``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import multiprocessing
 import os
 import socket
 import tempfile
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
+from ..workloads import TraceSpec
 from .loadgen import LoadGenerator, fleet_tracker_infos
 from .protocol import MAX_LINE_BYTES, decode, encode
 
-__all__ = ["run_serve_benchmark", "DEFAULT_BENCH"]
-
-#: Defaults chosen so the committed baseline targets the ISSUE's
-#: ~10k heartbeats/sec with headroom: offer 12k for 5 s.
-DEFAULT_BENCH: Dict[str, Any] = {
-    "rate": 12000.0,
-    "duration": 5.0,
-    "scheduler": "e-ant",
-    "seed": 3,
-    "nodes": None,
-    "connections": 4,
-    "service_time": 0.05,
-    "time_scale": 600.0,
-}
+__all__ = ["run_serve_benchmark"]
 
 
 def _daemon_main(path: str, scheduler: str, seed: int, nodes: Optional[int], time_scale: float) -> None:
@@ -98,21 +84,23 @@ async def _shutdown_daemon(path: str) -> Optional[Dict[str, Any]]:
 
 def run_serve_benchmark(
     *,
-    rate: float = DEFAULT_BENCH["rate"],
-    duration: float = DEFAULT_BENCH["duration"],
-    scheduler: str = DEFAULT_BENCH["scheduler"],
-    seed: int = DEFAULT_BENCH["seed"],
-    nodes: Optional[int] = DEFAULT_BENCH["nodes"],
-    connections: int = DEFAULT_BENCH["connections"],
-    service_time: float = DEFAULT_BENCH["service_time"],
-    time_scale: float = DEFAULT_BENCH["time_scale"],
-    jobs: Optional[Sequence[Dict[str, Any]]] = None,
+    rate: float,
+    duration: float,
+    scheduler: str,
+    seed: int,
+    connections: int,
+    service_time: float,
+    time_scale: float,
+    nodes: Optional[int] = None,
+    trace: Optional[TraceSpec] = None,
 ) -> Dict[str, Any]:
     """Run one daemon-in-a-subprocess load test; returns the summary dict.
 
     The shape matches ``BENCH_serve.json``'s ``measured`` section:
     offered/achieved heartbeat rates, client RTT quantiles, and the
-    server's decision-latency quantiles.
+    server's decision-latency quantiles.  ``trace`` replaces the
+    generator's fixed submit schedule with the trace's arrivals (see
+    :class:`~repro.serve.loadgen.LoadGenerator`).
     """
     ctx = multiprocessing.get_context("spawn")
     with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
@@ -132,7 +120,7 @@ def run_serve_benchmark(
                 connections=connections,
                 service_time=service_time,
                 time_scale=time_scale,
-                jobs=list(jobs) if jobs else None,
+                trace=trace,
             )
 
             async def _run() -> Any:
@@ -182,30 +170,3 @@ def run_serve_benchmark(
             "decision_latency_ms": server.get("decision_latency_ms"),
         },
     }
-
-
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - CLI shim
-    import argparse
-
-    parser = argparse.ArgumentParser(description="serve daemon throughput benchmark")
-    parser.add_argument("--rate", type=float, default=DEFAULT_BENCH["rate"])
-    parser.add_argument("--duration", type=float, default=DEFAULT_BENCH["duration"])
-    parser.add_argument("--scheduler", default=DEFAULT_BENCH["scheduler"])
-    parser.add_argument("--seed", type=int, default=DEFAULT_BENCH["seed"])
-    parser.add_argument("--nodes", type=int, default=None)
-    parser.add_argument("--connections", type=int, default=DEFAULT_BENCH["connections"])
-    args = parser.parse_args(argv)
-    result = run_serve_benchmark(
-        rate=args.rate,
-        duration=args.duration,
-        scheduler=args.scheduler,
-        seed=args.seed,
-        nodes=args.nodes,
-        connections=args.connections,
-    )
-    print(json.dumps(result, indent=2))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -35,6 +35,13 @@ __all__ = ["LoadGenerator", "LoadgenStats", "fleet_tracker_infos"]
 #: coarser than the inter-arrival gap).
 BATCH_SECONDS = 0.005
 
+#: The fixed submit schedule: this job every ``SUBMIT_INTERVAL`` wall
+#: seconds, the first right after registration.
+SUBMIT_MESSAGE = encode(
+    {"type": "submit", "application": "terasort", "input_gb": 4.0, "num_reduces": 8}
+)
+SUBMIT_INTERVAL = 0.5
+
 
 def fleet_tracker_infos(nodes: Optional[int] = None, seed: int = 3) -> List[TrackerInfo]:
     """Virtual-tracker registrations matching a serve engine's fleet.
@@ -157,14 +164,9 @@ class LoadGenerator:
     time_scale:
         Must match the daemon's: converts the service time into simulated
         seconds for the synthetic report's timing fields.
-    jobs:
-        Submit-message templates cycled by the submit schedule, e.g.
-        ``[{"application": "terasort", "input_gb": 4, "num_reduces": 8}]``.
-    submit_interval:
-        Wall seconds between job submissions (keeps the backlog alive).
     trace:
         Optional :class:`~repro.workloads.TraceSpec` to replay instead of
-        the interval submit schedule: each row is submitted when the wall
+        the fixed submit schedule: each row is submitted when the wall
         clock reaches ``arrival_time / time_scale``, so the daemon sees
         the trace's arrival curve in simulated time.  Arrivals past the
         run ``duration`` never fire (the replay is cut with the senders).
@@ -179,8 +181,6 @@ class LoadGenerator:
         connections: int = 4,
         service_time: float = 1.0,
         time_scale: float = 1.0,
-        jobs: Optional[Sequence[Dict[str, Any]]] = None,
-        submit_interval: float = 0.5,
         trace: Optional[TraceSpec] = None,
     ) -> None:
         if rate <= 0:
@@ -198,10 +198,6 @@ class LoadGenerator:
         self.connections = min(connections, len(trackers))
         self.service_time = service_time
         self.time_scale = time_scale
-        self.jobs = list(jobs) if jobs else [
-            {"application": "terasort", "input_gb": 4.0, "num_reduces": 8}
-        ]
-        self.submit_interval = submit_interval
         self.trace = trace
         # Pre-rendered replay schedule: (wall seconds from start, message).
         # TraceJob defaults are materialized at validation time, so the
@@ -342,7 +338,7 @@ class LoadGenerator:
 
     async def _submitter(self, writer: asyncio.StreamWriter) -> None:
         while True:
-            await asyncio.sleep(self.submit_interval)
+            await asyncio.sleep(SUBMIT_INTERVAL)
             await self._submit_one(writer)
 
     async def _trace_submitter(self, writer: asyncio.StreamWriter) -> None:
@@ -363,8 +359,7 @@ class LoadGenerator:
             await writer.drain()
 
     async def _submit_one(self, writer: asyncio.StreamWriter) -> None:
-        template = self.jobs[self.stats.jobs_submitted % len(self.jobs)]
-        writer.write(encode({"type": "submit", **template}))
+        writer.write(SUBMIT_MESSAGE)
         self.stats.jobs_submitted += 1
         await writer.drain()
 

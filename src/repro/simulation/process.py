@@ -61,11 +61,6 @@ class Process(Event):
         bootstrap.add_callback(self._resume_cb)
         sim._schedule_dispatch(bootstrap)
 
-    @property
-    def is_alive(self) -> bool:
-        """``True`` while the generator has not terminated."""
-        return not self.triggered
-
     # -------------------------------------------------------------- execution
     def _resume(self, event: Event) -> None:
         """Advance the generator with the result of ``event``.

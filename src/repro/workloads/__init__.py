@@ -1,6 +1,6 @@
 """Workload substrate: PUMA profiles, the MSD synthetic mix, arrivals."""
 
-from .benchmarks import GREP, PUMA, TERASORT, WORDCOUNT, profile_by_name, puma_job, standard_mix
+from .benchmarks import GREP, PUMA, TERASORT, WORDCOUNT, profile_by_name, puma_job
 from .generator import uniform_job_stream
 from .msd import CLASS_SPECS, MSDConfig, class_histogram, generate_msd_workload
 from .profiles import SIZE_CLASSES, JobSpec, WorkloadProfile
@@ -29,7 +29,6 @@ __all__ = [
     "PUMA",
     "profile_by_name",
     "puma_job",
-    "standard_mix",
     "MSDConfig",
     "generate_msd_workload",
     "class_histogram",

@@ -15,7 +15,7 @@ Work amounts are calibrated so that, on the reference desktop:
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict
 
 from .profiles import JobSpec, WorkloadProfile
 
@@ -97,12 +97,3 @@ def puma_job(
         pool=pool,
         size_class=size_class,
     )
-
-
-def standard_mix(input_gb: float = 18.75, stagger: float = 0.0) -> List[JobSpec]:
-    """One job of each PUMA application (the Section II trio), optionally
-    staggered ``stagger`` seconds apart."""
-    jobs = []
-    for index, name in enumerate(sorted(PUMA)):
-        jobs.append(puma_job(name, input_gb=input_gb, submit_time=index * stagger))
-    return jobs

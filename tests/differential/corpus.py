@@ -127,7 +127,6 @@ def build_corpus() -> List[Tuple[str, ScenarioSpec]]:
         ),
         ("fifo-duo-seed8", ScenarioSpec(jobs=_jobs(wordcount, terasort), scheduler="fifo", seed=8)),
         ("late-duo-seed9", ScenarioSpec(jobs=_jobs(wordcount, grep), scheduler="late", seed=9)),
-        ("capacity-duo-seed10", ScenarioSpec(jobs=_jobs(wordcount, grep), scheduler="capacity", seed=10)),
         (
             "eant-churn-metered-seed11",
             ScenarioSpec(

@@ -24,7 +24,6 @@ CORPUS = dict(build_corpus())
 PARKING = [
     "eant-trio-seed0",
     "tarazu-trio-seed2",
-    "capacity-duo-seed10",
     "fifo-idlegap-seed13",
     "fair-idlegap-crash-seed16",
     "eant-idlegap-flaky-seed17",

@@ -1,4 +1,4 @@
-"""``repro serve`` CLI: flag validation and the in-process loadgen mode.
+"""``repro serve`` CLI: flag validation and the ``--loadgen`` run.
 
 Every input-validation failure follows the repo's CLI error convention:
 exit status 2 and one compiler-style ``repro/cli.py:NNN: error: ...``
@@ -35,6 +35,16 @@ class TestValidation:
             ["serve", "--socket", "/tmp/x.sock", "--port", "7077"],
             "mutually exclusive",
         )
+
+    @pytest.mark.parametrize(
+        "endpoint", [["--port", "7077"], ["--socket", "/tmp/x.sock"]]
+    )
+    def test_loadgen_refuses_an_endpoint(self, endpoint, capsys):
+        # The daemon under --loadgen listens on a private socket.
+        assert main(["serve", "--loadgen", "100", *endpoint]) == 2
+        err = capsys.readouterr().err
+        assert ERROR_LINE.match(err) and len(err.splitlines()) == 1
+        assert "--loadgen" in err
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_bad_time_scale(self, value, capsys):
@@ -80,9 +90,28 @@ class TestLoadgenMode:
             line for line in out.splitlines() if not line.startswith("#")
         )
         summary = json.loads(payload)
-        assert summary["errors"] == 0
+        assert summary["client_errors"] == 0
         assert summary["heartbeats_sent"] > 0
         assert summary["responses_received"] == summary["heartbeats_sent"]
         assert summary["assignments_received"] > 0
         # --bench-out wrote the same summary to disk.
         assert json.loads(out_path.read_text()) == summary
+
+    def test_loadgen_replays_a_trace(self, capsys, tmp_path):
+        trace = tmp_path / "diurnal.csv"
+        assert main(["workload", "gen", "--process", "diurnal", "--rate", "0.05",
+                     "--duration", "240", "-O", "period_s=240", "--seed", "7",
+                     "--out", str(trace)]) == 0
+        rows = len(trace.read_text().splitlines()) - 1
+        capsys.readouterr()
+        # 600 simulated seconds per wall second: every arrival (<= 240 s)
+        # is due within the run.
+        assert main([
+            "serve", "--loadgen", "200", "--duration", "1", "--trace", str(trace),
+            "--connections", "2", "--service-time", "0.05", "--scheduler", "fair",
+        ]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["client_errors"] == 0
+        assert summary["server"]["errors"] == 0
+        assert summary["jobs_submitted"] == rows
+        assert summary["responses_received"] == summary["heartbeats_sent"] > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workloads import GREP, PUMA, TERASORT, WORDCOUNT, profile_by_name, puma_job, standard_mix
+from repro.workloads import GREP, PUMA, TERASORT, WORDCOUNT, profile_by_name, puma_job
 
 
 class TestPumaSuite:
@@ -37,8 +37,3 @@ class TestPumaJob:
     def test_explicit_reduce_count(self):
         job = puma_job("grep", input_gb=1.0, num_reduces=7)
         assert job.num_reduces == 7
-
-    def test_standard_mix_one_per_app(self):
-        mix = standard_mix(input_gb=2.0, stagger=30.0)
-        assert [j.profile.name for j in mix] == ["grep", "terasort", "wordcount"]
-        assert [j.submit_time for j in mix] == [0.0, 30.0, 60.0]

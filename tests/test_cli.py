@@ -29,6 +29,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--scheduler"], ["sweep", "--schedulers"], ["serve", "--scheduler"]],
+    )
+    def test_capacity_scheduler_is_not_offered(self, argv, capsys):
+        # Not a baseline of the paper's evaluation (FIFO with one queue).
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv + ["capacity"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'capacity'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_catalog(self, capsys):

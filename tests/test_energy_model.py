@@ -6,7 +6,6 @@ from repro.cluster import DESKTOP, T420
 from repro.energy import (
     TaskEnergyModel,
     UtilizationSample,
-    estimate_task_energy,
     samples_from_phases,
 )
 
@@ -28,11 +27,6 @@ class TestTaskEnergyModel:
         assert model.estimate(samples) == pytest.approx(
             model.estimate_from_average(0.11, 17.0)
         )
-
-    def test_estimate_task_energy_helper(self):
-        samples = [UtilizationSample(0.05, 3.0)]
-        direct = TaskEnergyModel.for_spec(DESKTOP).estimate(samples)
-        assert estimate_task_energy(DESKTOP, samples) == pytest.approx(direct)
 
     def test_negative_duration_rejected(self):
         model = TaskEnergyModel.for_spec(DESKTOP)

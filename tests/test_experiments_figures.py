@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import main
 from repro.cluster import CORE_I7, XEON_E5
 from repro.experiments import (
     fig1d_phase_breakdown,
@@ -12,6 +13,7 @@ from repro.experiments import (
     throughput_per_watt,
 )
 from repro.experiments import testbed_problem as build_testbed_problem
+from repro.experiments.figures import figure_result
 from repro.workloads import WORDCOUNT
 
 
@@ -72,3 +74,22 @@ class TestOverhead:
     def test_update_overhead_sub_second(self):
         result = measure_update_overhead(repetitions=3)
         assert result.mean_seconds < 1.0
+
+
+#: The ``repro figure`` builders that take under a second; the slower ones
+#: are covered through their experiment functions in ``benchmarks/``.
+FAST_FIGURES = ("fig1b", "fig1d", "fig4", "fig6", "fig7", "fig11a")
+
+
+@pytest.mark.parametrize("name", FAST_FIGURES)
+def test_figure_dispatch_renders_its_rows(name, capsys):
+    figure = figure_result(name)
+    assert figure.name == name
+    rows = [row for series in figure.series.values() for row in series]
+    assert rows
+    for series in figure.series.values():
+        assert len({row.count("\t") for row in series}) == 1, series
+    rendered = figure.render()
+    assert [line for line in rendered.splitlines() if not line.startswith("#")] == rows
+    assert main(["figure", name]) == 0
+    assert capsys.readouterr().out == rendered + "\n"

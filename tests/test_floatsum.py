@@ -3,12 +3,15 @@
 ``pairwise_sum`` must round exactly as ``ndarray.sum()`` does, and
 ``sample_index`` must pick exactly the index the numpy
 ``cdf``/``searchsorted`` form picked, or E-Ant's RNG draws (and every
-golden digest) move.  ``left_sum``, ``TaskEnergyModel.estimate`` and the
-fleet totals and means in ``RunMetrics`` must not follow builtin
-``sum()``, which compensates float sums from Python 3.12 on.
+golden digest) move.  ``left_sum``, ``TaskEnergyModel.estimate``, the
+fleet totals and means in ``RunMetrics``, its completion-time means and
+Tarazu's compute weights must not follow builtin ``sum()``, which
+compensates float sums from Python 3.12 on.
 """
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +23,11 @@ from repro.core import EAntScheduler
 from repro.core.floatsum import left_sum, pairwise_sum
 from repro.core.scheduler import sample_index
 from repro.energy.model import TaskEnergyModel, UtilizationSample
+from repro.metrics import JobResult, RunMetrics
+from repro.observability import NULL_TRACER
 from repro.runner import ScenarioSpec
 from repro.runner.engine import execute_spec
+from repro.schedulers import TarazuScheduler
 from repro.simulation import Simulator
 from repro.workloads import puma_job
 
@@ -164,3 +170,33 @@ def test_utilization_by_type_means_fold_left_to_right(monkeypatch):
     means = cluster.utilization_by_type()
     assert means[DESKTOP.model] == _left_fold_only(CANCELLING) / 3
     assert means[T420.model] == 0.5
+
+
+#: Positive values whose left fold drops both 1.0s (``1e16 + 1.0`` rounds
+#: back to ``1e16``), where a compensated sum keeps them.
+ABSORBED = [1e16, 1.0, 1.0]
+
+
+def test_tarazu_compute_weights_fold_left_to_right():
+    """Tarazu's compute-weight normalizer steers its map quotas."""
+    fast = replace(DESKTOP, model="fast", cores=1, cpu_speed=ABSORBED[0])
+    slow = replace(T420, model="slow", cores=1, cpu_speed=ABSORBED[1])
+    cluster = Cluster(Simulator(), [(fast, 1), (slow, 2)])
+    scheduler = TarazuScheduler()
+    scheduler.bind(SimpleNamespace(cluster=cluster, tracer=NULL_TRACER))
+    total = _left_fold_only(ABSORBED)
+    assert scheduler._compute_weights == {
+        m.machine_id: m.spec.cpu_speed / total for m in cluster
+    }
+
+
+def test_mean_completion_times_fold_left_to_right():
+    """``RunMetrics.mean_jct`` and ``mean_jct_by_class``."""
+    results = [
+        JobResult(i, f"j{i}", "grep", "small", 0.0, t, t, 1.0)
+        for i, t in enumerate(ABSORBED)
+    ]
+    metrics = RunMetrics("fifo", 0, 0.0, 0.0, {}, 0.0, 0.0, {}, results, None)
+    mean = _left_fold_only(ABSORBED) / len(ABSORBED)
+    assert metrics.mean_jct() == mean
+    assert metrics.mean_jct_by_class() == {("grep", "small"): mean}

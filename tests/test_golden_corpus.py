@@ -166,6 +166,6 @@ def test_corpus_covers_all_schedulers_and_faults():
     """The corpus must keep exercising every scheduler and a fault plan."""
     specs = [ScenarioSpec.from_json_dict(_load(p)["spec"]) for p in GOLDEN_FILES]
     schedulers = {s.scheduler for s in specs}
-    assert {"fair", "tarazu", "e-ant", "fifo", "late", "capacity"} <= schedulers
+    assert {"fair", "tarazu", "e-ant", "fifo", "late"} <= schedulers
     assert any(s.faults is not None for s in specs), "no faulted scenario"
     assert any(s.with_meter for s in specs), "no metered scenario"

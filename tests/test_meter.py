@@ -51,11 +51,3 @@ def test_identification_data_recovers_power_model():
     fitted = fit_power_model(utils, powers)
     assert fitted.idle_watts == pytest.approx(DESKTOP.power.idle_watts, rel=0.01)
     assert fitted.alpha_watts == pytest.approx(DESKTOP.power.alpha_watts, rel=0.01)
-
-
-def test_average_power_requires_readings():
-    sim = Simulator()
-    cluster = Cluster(sim, [(DESKTOP, 1)])
-    meter = ClusterMeter(cluster)
-    with pytest.raises(ValueError):
-        meter.average_power(0)

@@ -188,14 +188,3 @@ class TestDamagedEntryIsRerun:
         assert cache.stats.evictions == len(grid)
         assert again == cold
         assert all(cache.get(spec) is not None for spec in grid)
-
-
-class TestClearGeneration:
-    def test_clear_removes_current_generation_only(self, tmp_path, spec, record):
-        current = ResultCache(tmp_path, salt="d" * 64)
-        other = ResultCache(tmp_path, salt="e" * 64)
-        current.put(spec, record)
-        other.put(spec, record)
-        assert current.clear_generation() == 1
-        assert current.get(spec) is None
-        assert other.get(spec) is not None

@@ -44,6 +44,10 @@ class TestNormalization:
         with pytest.raises(ValueError, match="unknown scheduler"):
             small_spec(scheduler="yarn")
 
+    def test_capacity_scheduler_rejected(self):
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            small_spec(scheduler="capacity")
+
     def test_eant_alias_normalized(self):
         assert small_spec(scheduler="eant").scheduler == "e-ant"
 

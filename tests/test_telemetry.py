@@ -18,7 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import DESKTOP, T420
 from repro.experiments import run_scenario
+from repro.faults import FaultEvent, FaultPlan
 from repro.observability import (
     Histogram,
     PhaseStat,
@@ -180,6 +182,34 @@ class TestTelemetrySinkLive:
         fields = {f.name for f in RunRecord.__dataclass_fields__.values()}
         # Host time is not a run outcome: only telemetry rides along.
         assert "telemetry" in fields and "profile" not in fields
+
+
+@pytest.mark.parametrize("scheduler", ["fair", "e-ant"])
+def test_joined_model_gets_its_own_class_row(scheduler):
+    """A fault-plan ``join`` of a model absent from the starting fleet
+    adds a class row mid-run, and the rollups still sum to the fleet."""
+    jobs = [
+        puma_job("wordcount", input_gb=2.0, submit_time=0.0),
+        puma_job("grep", input_gb=2.0, submit_time=90.0),
+    ]
+    run = run_scenario(
+        jobs,
+        scheduler=scheduler,
+        seed=7,
+        fleet=[(T420, 3), (DESKTOP, 3)],
+        faults=FaultPlan(events=(FaultEvent(time=100.0, kind="join", model="Atom"),)),
+        telemetry=TelemetryConfig(interval=15.0),
+    )
+    record = run.telemetry.record()
+    assert record.class_names == ("T420", "Desktop", "Atom")
+    in_service = record.class_columns["in_service"]
+    joined = record.columns["time"] >= 100.0
+    assert joined.any() and not joined.all()
+    assert np.array_equal(in_service[2], joined.astype(float))
+    assert np.array_equal(in_service.sum(axis=0), record.columns["active_machines"])
+    assert np.allclose(
+        record.class_columns["power_watts"].sum(axis=0), record.columns["power_watts"]
+    )
 
 
 class TestRingWrapLive:
