@@ -267,8 +267,8 @@ class PheromoneTable:
         """Eq. 3 for every machine, in column order (memoized; do not mutate).
 
         Each element is the same ``tau / sum(row)`` float division
-        :meth:`attractiveness` performs.  The heartbeat scorer indexes it
-        once per candidate colony with :meth:`column`.
+        :meth:`attractiveness` performs.  The heartbeat scorer reads it
+        through :meth:`normalized_column`.
         """
         normalized = self._normalized.get(colony)
         if normalized is None:
@@ -277,9 +277,22 @@ class PheromoneTable:
             self._normalized[colony] = normalized
         return normalized
 
-    def column(self, machine_id: int) -> int:
-        """Index of ``machine_id`` in every row and :meth:`normalized_row`."""
-        return self._col[machine_id]
+    def normalized_column(self, colonies: List[ColonyKey], machine_id: int) -> List[float]:
+        """``normalized_row(colony)[j]`` for each colony, where ``j`` is
+        ``machine_id``'s column.
+
+        The heartbeat scorer's read of Eq. 3 for one slot offer's
+        candidates, in one call.
+        """
+        column = self._col[machine_id]
+        memo = self._normalized
+        taus = []
+        for colony in colonies:
+            row = memo.get(colony)
+            if row is None:
+                row = self.normalized_row(colony)
+            taus.append(row[column])
+        return taus
 
     def attractiveness_row(self, colony: ColonyKey) -> Dict[int, float]:
         """Eq. 3 for every machine at once."""

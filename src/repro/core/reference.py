@@ -3,12 +3,13 @@
 The kernel and assignment-loop optimizations (the inlined run loop and
 event factories, memoized pheromone normalizers and normalized rows, the
 inlined float scorer of Eq. 8, cached slot totals, gated tracker-expiry
-sweeps, idle-heartbeat parking, the no-work heartbeat short-circuit,
-batched energy integration) are all *pure* transformations: they must
-compute exactly the same floating-point expressions in the same order as
-the straightforward code they replaced, so every simulation stays
-bit-identical.  This module keeps the straightforward code alive as the
-executable specification of that contract.
+sweeps, idle-heartbeat parking, the no-work heartbeat short-circuit, the
+pending-work index, batched energy integration) are all *pure*
+transformations: they must compute exactly the same floating-point
+expressions in the same order as the straightforward code they replaced,
+so every simulation stays bit-identical.  This module keeps the
+straightforward code alive as the executable specification of that
+contract.
 
 :func:`reference_mode` swaps the naive implementations in (monkey-style,
 on the classes themselves) for the duration of a ``with`` block; the
@@ -26,8 +27,9 @@ simulator run loop composes :meth:`Simulator.step` one frame per event
 and every push goes through one ``heappush`` helper, the expiry sweep
 scans every tracker on every heartbeat, every TaskTracker heartbeats
 every interval (no idle parking), every heartbeat enters the policy's
-``select_tasks`` (no no-work short-circuit), and the energy integrator
-goes through the :class:`PowerModel` helper methods.
+``select_tasks`` (no no-work short-circuit), the schedulers scan every
+active job for pending work (no pending-work index), and the energy
+integrator goes through the :class:`PowerModel` helper methods.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from ..cluster.power import EnergyAccumulator
 from ..cluster.topology import Cluster
 from ..hadoop.jobtracker import JobTracker
 from ..observability.tracer import EventType
+from ..schedulers.base import Scheduler
 from ..simulation.engine import PRIORITY_NORMAL, PRIORITY_URGENT, Simulator
 from ..simulation.events import Event, SimulationError
 from .floatsum import left_sum
@@ -240,6 +243,26 @@ def _reference_park_idle(self: JobTracker, tracker, status, assignments) -> None
     """Heartbeat every ``heartbeat_interval``: no tracker ever parks."""
 
 
+def _reference_jobs_with_pending_maps(self: Scheduler) -> list:
+    """Scan every active job for a pending map (no pending-work index)."""
+    return [job for job in self.jt.active_jobs if job.pending_map_count > 0]
+
+
+def _reference_jobs_with_schedulable_reduces(self: Scheduler) -> list:
+    """Scan every active job against the slowstart gate (no index)."""
+    slowstart = self.jt.config.reduce_slowstart
+    return [job for job in self.jt.active_jobs if job.reduces_schedulable(slowstart)]
+
+
+def _reference_has_assignable_work(self: Scheduler) -> bool:
+    """Scan every active job for assignable work (no index)."""
+    slowstart = self.jt.config.reduce_slowstart
+    return any(
+        job.pending_map_count or job.reduces_schedulable(slowstart)
+        for job in self.jt.active_jobs
+    )
+
+
 def _reference_select_tasks(self: LocalSchedulerCore, status) -> list:
     """Every heartbeat enters the policy, with or without work."""
     return self.scheduler.select_tasks(status)
@@ -288,6 +311,9 @@ REFERENCE_PATCHES: Dict[Tuple[type, str], Any] = {
     (Simulator, "run"): _reference_run,
     (JobTracker, "_expire_dead_trackers"): _reference_expire_dead_trackers,
     (JobTracker, "_park_idle"): _reference_park_idle,
+    (Scheduler, "jobs_with_pending_maps"): _reference_jobs_with_pending_maps,
+    (Scheduler, "jobs_with_schedulable_reduces"): _reference_jobs_with_schedulable_reduces,
+    (Scheduler, "has_assignable_work"): _reference_has_assignable_work,
     (LocalSchedulerCore, "_select_tasks"): _reference_select_tasks,
     (Machine, "_advance"): _reference_machine_advance,
     (EnergyAccumulator, "advance"): _reference_energy_advance,

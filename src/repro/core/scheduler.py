@@ -257,7 +257,7 @@ class EAntScheduler(Scheduler):
 
     def on_job_added(self, job: Job) -> None:
         assert self.pheromones is not None
-        signature = job.profile.resource_signature()
+        signature = job.resource_signature
         self.pheromones.ensure_colony(
             (job.job_id, TaskKind.MAP), group=(signature, TaskKind.MAP)
         )
@@ -417,26 +417,28 @@ class EAntScheduler(Scheduler):
         assert pheromones is not None
         is_map = kind is TaskKind.MAP
         sharpness = self.config.selection_sharpness if is_map else 1.0
-        column = pheromones.column(machine_id)
-        normalized_row = pheromones.normalized_row
-        taus = [normalized_row((job.job_id, kind))[column] for job in jobs]
+        taus = pheromones.normalized_column([(job.job_id, kind) for job in jobs], machine_id)
         if self.config.beta == 0:
             return taus, [tau**sharpness * 1.0 for tau in taus]
         pool_slots = fairness.pool_slots
         if pool_slots <= 0:
             raise ValueError("pool must have slots")
         min_share = fairness.min_share
-        map_slots, reduce_slots = self.jt.cluster.total_slots()
-        share = (map_slots if is_map else reduce_slots) / max(1, len(self.jt.active_jobs))
+        jt = self.jt
+        map_slots, reduce_slots = jt.cluster.total_slots()
+        share = (map_slots if is_map else reduce_slots) / max(1, len(jt.active_jobs))
         power = self.config.deficit_power
         exponent = self.config.beta / self.config.beta_reference
         weights = []
         for job, tau in zip(jobs, taus):
-            # Eq. 7 (fairness_eta) and the slot deficit (_deficit), inlined.
-            denominator = 1.0 - (min_share - job.occupied_slots) / pool_slots
+            # Eq. 7 (fairness_eta) and the slot deficit (_deficit), inlined,
+            # with Job.occupied_slots spelled out.
+            running_maps = job.running_maps
+            running_reduces = job.running_reduces
+            denominator = 1.0 - (min_share - (running_maps + running_reduces)) / pool_slots
             if denominator < 1e-3:
                 denominator = 1e-3
-            deficit = share - (job.running_maps if is_map else job.running_reduces)
+            deficit = share - (running_maps if is_map else running_reduces)
             if deficit < 0.5:
                 deficit = 0.5
             weights.append(tau**sharpness * ((1.0 / denominator) * deficit**power) ** exponent)
@@ -579,9 +581,10 @@ class EAntScheduler(Scheduler):
         share form a strict priority tier.  Eq. 8 sampling applies within
         the tier, preserving the energy-aware job-to-machine matching.
         """
-        map_slots, reduce_slots = self.jt.cluster.total_slots()
+        jt = self.jt
+        map_slots, reduce_slots = jt.cluster.total_slots()
         pool = map_slots if kind is TaskKind.MAP else reduce_slots
-        active = max(1, len(self.jt.active_jobs))
+        active = max(1, len(jt.active_jobs))
         share = pool / active
         if kind is TaskKind.MAP:
             starved = [j for j in jobs if j.running_maps < share]
@@ -598,7 +601,7 @@ class EAntScheduler(Scheduler):
 
         # Locality short-circuit (eta = infinity branch of Eq. 7).
         if self.config.beta > 0:
-            local_jobs = [j for j in jobs if j.local_pending_map(machine_id) is not None]
+            local_jobs = [j for j in jobs if j.has_local_map(machine_id)]
             if local_jobs:
                 taus, weights = self._selection_arrays(
                     local_jobs, TaskKind.MAP, machine_id, fairness

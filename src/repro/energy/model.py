@@ -165,41 +165,52 @@ def samples_from_phases(
     # heartbeat window of every task.  The float operations are unchanged.
     last = len(boundaries) - 1
     horizon = total - 1e-12
-    raw: List[Tuple[float, float]] = []  # (mean_util, duration) per window
+    means: List[float] = []  # mean utilization per window
+    durations: List[float] = []
     window_start = 0.0
     phase_index = 0
+    # The end and utilization of the phase the window starts in.
+    phase_end, utilization = boundaries[0] if boundaries else (0.0, 0.0)
     while window_start < horizon:
         window_end = window_start + delta_t
         if total < window_end:
             window_end = total
-        # Time-weighted mean utilization across phases inside the window.
-        weighted = 0.0
-        cursor = window_start
-        index = phase_index
-        stop = window_end - 1e-12
-        while cursor < stop:
-            phase_end, utilization = boundaries[index]
-            segment_end = window_end if window_end < phase_end else phase_end
-            weighted += (segment_end - cursor) * utilization
-            cursor = segment_end
-            if cursor >= phase_end - 1e-12 and index < last:
-                index += 1
         duration = window_end - window_start
-        raw.append((weighted / duration if duration > 0 else 0.0, duration))
+        stop = window_end - 1e-12
+        if window_end <= phase_end and window_start < stop:
+            # The window lies inside one phase: the loop below would take
+            # exactly one segment, window_start -> window_end.
+            weighted = 0.0 + duration * utilization
+        else:
+            # Time-weighted mean utilization across phases inside the window.
+            weighted = 0.0
+            cursor = window_start
+            index = phase_index
+            while cursor < stop:
+                segment_phase_end, segment_utilization = boundaries[index]
+                segment_end = window_end if window_end < segment_phase_end else segment_phase_end
+                weighted += (segment_end - cursor) * segment_utilization
+                cursor = segment_end
+                if cursor >= segment_phase_end - 1e-12 and index < last:
+                    index += 1
+        means.append(weighted / duration if duration > 0 else 0.0)
+        durations.append(duration)
         window_start = window_end
         # Advance the persistent phase pointer for the next window.
-        while phase_index < last and boundaries[phase_index][0] <= window_start + 1e-12:
+        if phase_index < last and phase_end <= window_start + 1e-12:
             phase_index += 1
+            while phase_index < last and boundaries[phase_index][0] <= window_start + 1e-12:
+                phase_index += 1
+            phase_end, utilization = boundaries[phase_index]
     if noise_factors is not None:
-        factors = noise_factors(len(raw))
+        factors = noise_factors(len(means))
         # One conversion for an ndarray, not float() per numpy scalar.
         factors = factors.tolist() if hasattr(factors, "tolist") else [float(f) for f in factors]
         samples = []
-        for (mean_util, duration), factor in zip(raw, factors):
+        for mean_util, duration, factor in zip(means, durations, factors):
             noisy = mean_util * factor
             # max(0.0, noisy), and the NamedTuple built without its
             # Python-level __new__ (one per heartbeat window of every task).
             samples.append(_new_tuple(UtilizationSample, (noisy if noisy > 0.0 else 0.0, duration)))
         return samples
-    return [UtilizationSample(mean_util, duration) for mean_util, duration in raw]
-
+    return [UtilizationSample(mean_util, duration) for mean_util, duration in zip(means, durations)]

@@ -41,17 +41,58 @@ class BlockPlacer:
         # Hadoop spreads blocks roughly uniformly across DataNodes of equal
         # disk size (all Table I machines have 1 TB disks).
         self._machine_ids = np.array(cluster.machine_ids)
+        self._id_list: List[int] = [int(m) for m in cluster.machine_ids]
+        n, k = len(self._id_list), self.replication
+        #: The bounds of one block's ``choice(ids, k, replace=False)`` draws:
+        #: Floyd's algorithm draws from ``[0, j]`` for j = n-k .. n-1, then
+        #: the result's shuffle from ``[0, i]`` for i = k-1 .. 1.
+        self._floyd_bounds = np.array(
+            list(range(n - k, n)) + list(range(k - 1, 0, -1)), dtype=np.int64
+        )
+        # numpy switches from Floyd's algorithm to a tail shuffle for large
+        # samples of populations above 10,000.
+        self._floyd = not (n > 10000 and k > n // 50)
 
     def place_block(self) -> Tuple[int, ...]:
         """Replica host ids for one block (distinct machines)."""
-        chosen = self.rng.choice(self._machine_ids, size=self.replication, replace=False)
-        return tuple(int(m) for m in chosen)
+        return self.place_job_blocks(1)[0]
 
     def place_job_blocks(self, num_blocks: int) -> List[Tuple[int, ...]]:
-        """Replica host tuples for all blocks of one job."""
+        """Replica host tuples for all blocks of one job.
+
+        Equal, draw for draw and in the stream state it leaves, to one
+        ``rng.choice(ids, size=replication, replace=False)`` per block:
+        every bounded draw those calls would make comes from one
+        ``rng.integers`` call, and each block's draws go through
+        ``choice``'s own Floyd selection and shuffle.  (``choice`` spends
+        most of its time in numpy's Python-level argument handling, once
+        per block.)
+        """
         if num_blocks < 0:
             raise ValueError("block count must be non-negative")
-        return [self.place_block() for _ in range(num_blocks)]
+        ids = self._id_list
+        n, k = len(ids), self.replication
+        if not self._floyd:
+            return [
+                tuple(int(m) for m in self.rng.choice(self._machine_ids, size=k, replace=False))
+                for _ in range(num_blocks)
+            ]
+        if not num_blocks or not k:
+            return [()] * num_blocks
+        bounds = self._floyd_bounds
+        draws = self.rng.integers(0, np.tile(bounds, num_blocks), endpoint=True).tolist()
+        floyd_range = range(n - k, n)
+        shuffle_range = range(k - 1, 0, -1)
+        width = len(bounds)
+        placements: List[Tuple[int, ...]] = []
+        for start in range(0, width * num_blocks, width):
+            chosen: List[int] = []
+            for j, value in zip(floyd_range, draws[start : start + k]):
+                chosen.append(j if value in chosen else value)
+            for i, j in zip(shuffle_range, draws[start + k : start + width]):
+                chosen[i], chosen[j] = chosen[j], chosen[i]
+            placements.append(tuple([ids[c] for c in chosen]))
+        return placements
 
     def place_with_locality(
         self,

@@ -13,13 +13,23 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..energy.model import UtilizationSample
 from ..simulation import Event, Simulator
 from ..workloads import JobSpec, WorkloadProfile
 
-__all__ = ["TaskKind", "TaskState", "Task", "TaskAttempt", "TaskReport", "Job"]
+__all__ = [
+    "TaskKind",
+    "TaskState",
+    "Task",
+    "TaskAttempt",
+    "TaskReport",
+    "Job",
+    "PendingWork",
+]
+
+_new_tuple = tuple.__new__
 
 
 class TaskKind(enum.Enum):
@@ -122,11 +132,16 @@ class TaskAttempt:
     #: phases included) — the basis of wasted-energy accounting for
     #: attempts that die before completing.
     core_seconds: float = 0.0
+    _attempt_id: Optional[str] = field(default=None, repr=False, compare=False)
 
     @property
     def attempt_id(self) -> str:
-        """Hadoop-style attempt id, e.g. ``attempt_j3-m-0017_0``."""
-        return f"attempt_{self.task.task_id}_{self.attempt_number}"
+        """Hadoop-style attempt id, e.g. ``attempt_j3-m-0017_0`` (computed
+        once, then cached)."""
+        aid = self._attempt_id
+        if aid is None:
+            self._attempt_id = aid = f"attempt_{self.task.task_id}_{self.attempt_number}"
+        return aid
 
     @property
     def duration(self) -> float:
@@ -137,34 +152,44 @@ class TaskAttempt:
 
     def to_report(self) -> "TaskReport":
         """Flatten into the record shipped to the JobTracker."""
-        job = self.task.job
-        return TaskReport(
-            job_id=job.job_id,
-            job_name=job.name,
-            application=job.profile.name,
-            pool=job.spec.pool,
-            resource_signature=job.profile.resource_signature(),
-            task_id=self.task.task_id,
-            attempt_id=self.attempt_id,
-            kind=self.task.kind,
-            machine_id=self.machine_id,
-            start_time=self.start_time,
-            finish_time=self.finish_time if self.finish_time is not None else self.start_time,
-            avg_utilization=self.avg_utilization,
-            samples=tuple(self.samples),
-            input_mb=self.task.input_mb,
-            local=self.local,
-            phases=dict(self.phases),
-        )
+        task = self.task
+        job = task.job
+        spec = job.spec
+        finish = self.finish_time
+        # Built without TaskReport's Python-level __new__ (one report per
+        # finished attempt); the values and their order are the fields'.
+        return _new_tuple(TaskReport, (
+            job.job_id,
+            spec.name,
+            spec.pool,
+            job.resource_signature,
+            task.task_id,
+            self.attempt_id,
+            task.kind,
+            self.machine_id,
+            self.start_time,
+            finish if finish is not None else self.start_time,
+            self.avg_utilization,
+            tuple(self.samples),
+            task.input_mb,
+            self.local,
+            dict(self.phases),
+            spec.profile.name,
+        ))
 
 
-@dataclass(frozen=True)
-class TaskReport:
+class TaskReport(NamedTuple):
     """Completion record of one task attempt (Section V-A's ``TaskReport``).
 
     This is the only task-level information E-Ant's task analyzer sees:
     identity, placement, timing, and the noisy CPU-utilization samples from
     which Eq. 2 estimates energy.
+
+    A NamedTuple, like the wire types of :mod:`repro.core.service`: one is
+    built per finished attempt, and a frozen dataclass paid one
+    ``object.__setattr__`` per field.  Fields are read by name and cannot
+    be reassigned; ``_replace`` makes a changed copy (the ``dataclasses``
+    helpers ``replace``/``asdict``/``fields`` do not apply).
     """
 
     job_id: int
@@ -191,6 +216,57 @@ class TaskReport:
     def duration(self) -> float:
         """Wall-clock runtime of the attempt."""
         return self.finish_time - self.start_time
+
+
+class PendingWork:
+    """The admitted jobs with assignable work, kept current by the jobs.
+
+    ``maps`` lists every job with a pending map and ``reduces`` every job
+    with a pending reduce past the slowstart gate, both in admission order
+    (the order of ``JobTracker.active_jobs``), so they equal the scans
+    ``[j for j in active_jobs if j.pending_map_count > 0]`` and
+    ``[j for j in active_jobs if j.reduces_schedulable(slowstart)]``.  A
+    job updates them itself where one of its counters crosses zero or the
+    gate: a take, a requeue, a map completion.  A heartbeat then reads
+    them instead of scanning every active job.
+    """
+
+    __slots__ = ("maps", "reduces", "slowstart", "_admitted")
+
+    def __init__(self, slowstart: float) -> None:
+        self.maps: List["Job"] = []
+        self.reduces: List["Job"] = []
+        self.slowstart = slowstart
+        self._admitted = 0
+
+    def admit(self, job: "Job") -> None:
+        """Track ``job`` from now on (it joins after every earlier job)."""
+        job._work = self
+        job._admission = self._admitted
+        self._admitted += 1
+        job._reduce_gate = self.slowstart * len(job.maps)
+        if job._num_pending_maps:
+            self.maps.append(job)
+        if job.reduces_schedulable(self.slowstart):
+            self.reduces.append(job)
+
+    def retire(self, job: "Job") -> None:
+        """Stop tracking ``job`` (it finished)."""
+        job._work = None
+        if job in self.maps:
+            self.maps.remove(job)
+        if job in self.reduces:
+            self.reduces.remove(job)
+
+    @staticmethod
+    def enter(members: List["Job"], job: "Job") -> None:
+        """Insert ``job`` into ``members`` at its admission rank."""
+        rank = job._admission
+        for position, other in enumerate(members):
+            if other._admission > rank:
+                members.insert(position, job)
+                return
+        members.append(job)
 
 
 class Job:
@@ -267,6 +343,13 @@ class Job:
         self.running_reduces = 0
         self.completed_maps = 0
         self.completed_reduces = 0
+        #: E-Ant's job-level exchange key, computed once per job.
+        self.resource_signature = spec.profile.resource_signature()
+        #: The :class:`PendingWork` index this job keeps current, its rank
+        #: there, and its slowstart threshold (set by ``PendingWork.admit``).
+        self._work: Optional[PendingWork] = None
+        self._admission = 0
+        self._reduce_gate = 0.0
 
         self.maps_done_event: Event = sim.event()
         self.done_event: Event = sim.event()
@@ -332,16 +415,22 @@ class Job:
     # --------------------------------------------------------- task dispatch
     def local_pending_map(self, machine_id: int) -> Optional[Task]:
         """A pending map task whose input block lives on ``machine_id``."""
+        if self.has_local_map(machine_id):
+            return self._maps_by_host[machine_id][-1]
+        return None
+
+    def has_local_map(self, machine_id: int) -> bool:
+        """Whether a pending map's input block lives on ``machine_id``
+        (``local_pending_map(machine_id) is not None``, without building
+        the answer: E-Ant's locality short-circuit asks it of every
+        candidate job on every map slot offer)."""
         queue = self._maps_by_host.get(machine_id)
-        if not queue:
-            return None
         # Lazily skip tasks already taken through another replica's queue.
         while queue:
-            task = queue[-1]
-            if task.state is TaskState.PENDING:
-                return task
+            if queue[-1].state is TaskState.PENDING:
+                return True
             queue.pop()
-        return None
+        return False
 
     def take_map(self, machine_id: int, prefer_local: bool = True) -> Optional[Task]:
         """Pop a pending map for assignment to ``machine_id``.
@@ -386,12 +475,21 @@ class Job:
         if task.state is not TaskState.PENDING:
             raise ValueError(f"{task.task_id} is not pending")
         task.state = TaskState.RUNNING
+        work = self._work
         if task.is_map:
             self.running_maps += 1
             self._num_pending_maps -= 1
+            if work is not None and not self._num_pending_maps:
+                work.maps.remove(self)
         else:
             self.running_reduces += 1
             self._num_pending_reduces -= 1
+            if (
+                work is not None
+                and not self._num_pending_reduces
+                and self.completed_maps >= self._reduce_gate
+            ):
+                work.reduces.remove(self)
         if self.start_time is None:
             self.start_time = self.sim.now
 
@@ -401,14 +499,23 @@ class Job:
             raise ValueError(f"{task.task_id} is not running")
         task.state = TaskState.PENDING
         task._pending_seq += 1
+        work = self._work
         if task.is_map:
             self.running_maps -= 1
             self._num_pending_maps += 1
             self._pending_maps.append((task._pending_seq, task))
+            if work is not None and self._num_pending_maps == 1:
+                work.enter(work.maps, self)
         else:
             self.running_reduces -= 1
             self._num_pending_reduces += 1
             self._pending_reduces.append((task._pending_seq, task))
+            if (
+                work is not None
+                and self._num_pending_reduces == 1
+                and self.completed_maps >= self._reduce_gate
+            ):
+                work.enter(work.reduces, self)
 
     def complete_task(self, task: Task) -> None:
         """Mark a running task completed; fires barriers when crossed."""
@@ -421,6 +528,13 @@ class Job:
         if task.is_map:
             self.running_maps -= 1
             self.completed_maps += 1
+            work = self._work
+            if (
+                work is not None
+                and self._num_pending_reduces
+                and self.completed_maps - 1 < self._reduce_gate <= self.completed_maps
+            ):
+                work.enter(work.reduces, self)  # the slowstart crossing
             if self.maps_done and not self.maps_done_event.triggered:
                 self.maps_done_event.succeed(self.sim.now)
         else:

@@ -29,7 +29,7 @@ from ..simulation import Event, Simulator
 from ..workloads import JobSpec
 from .config import HadoopConfig
 from .hdfs import BlockPlacer
-from .job import Job, Task, TaskAttempt, TaskReport
+from .job import Job, PendingWork, Task, TaskAttempt, TaskReport
 from .tasktracker import TaskTracker
 
 # Imported after the hadoop leaf modules above: repro.core's package init
@@ -111,6 +111,10 @@ class JobTracker:
 
         self.jobs: Dict[int, Job] = {}
         self.active_jobs: List[Job] = []
+        #: The active jobs with a pending map or a schedulable reduce, kept
+        #: current by the jobs themselves (read by ``Scheduler``'s
+        #: ``jobs_with_pending_maps``/``jobs_with_schedulable_reduces``).
+        self.pending_work = PendingWork(config.reduce_slowstart)
         self.completed_jobs: List[Job] = []
         self.trackers: Dict[int, TaskTracker] = {}
         self.last_heartbeat: Dict[int, float] = {}
@@ -270,6 +274,7 @@ class JobTracker:
         self._next_job_id = max(self._next_job_id, job.job_id + 1)
         self.jobs[job.job_id] = job
         self.active_jobs.append(job)
+        self.pending_work.admit(job)
         job.done_event.add_callback(lambda _e, j=job: self._job_done(j))
         if self.tracer.enabled:
             self._trace_job_submitted(job)
@@ -279,6 +284,7 @@ class JobTracker:
 
     def _job_done(self, job: Job) -> None:
         self.active_jobs.remove(job)
+        self.pending_work.retire(job)
         self.completed_jobs.append(job)
         if self.tracer.enabled:
             self.tracer.emit(

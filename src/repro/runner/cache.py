@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional
 
-from .record import RunRecord, remember_digest
+from .record import RunRecord, remember_digest, remember_line
 from .spool import encode_line, parse_line
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -190,7 +190,9 @@ class ResultCache:
         line's — and its stored digest is then trusted: the generation
         directory is salted with the source hash, so the code that wrote
         the digest is the code reading it.  The record comes back holding
-        that digest, so :func:`record_digest` does not recompute it.
+        that digest, so :func:`record_digest` does not recompute it, and
+        the entry's line (:func:`~repro.runner.record.remember_line`), so
+        a spooled sweep appends it instead of encoding the record again.
 
         A damaged entry (truncated, bit-flipped, wrong type, an older
         bare-pickle entry) counts as a miss and is evicted so the slot
@@ -202,7 +204,8 @@ class ResultCache:
         path = self.path_for(spec)
         try:
             with open(path, "rb") as handle:
-                _, digest, record = parse_line(handle.read().decode("utf-8"))
+                text = handle.read().decode("utf-8")
+            _, digest, record = parse_line(text)
         except FileNotFoundError:
             self.stats.misses += 1
             return None
@@ -222,12 +225,17 @@ class ResultCache:
             os.utime(path, None)
         except OSError:  # pragma: no cover - racing eviction
             pass
+        line = text[:-1] if text.endswith("\n") else text
+        if "\n" not in line and "\r" not in line:
+            remember_line(record, line)
         return record
 
     def put(self, spec: "ScenarioSpec", record: RunRecord) -> Path:
         """Store ``record`` under ``spec``'s content address (atomically).
 
-        The entry is the record's spool line, carrying its digest.
+        The entry is the record's spool line, carrying its digest; the
+        line is left on ``record`` (:func:`~repro.runner.record.remember_line`)
+        for a spooled sweep to append.
         """
         line = encode_line(record.spec_hash, record)
         path = self.path_for(spec)
@@ -248,6 +256,7 @@ class ResultCache:
         sidecar = path.with_suffix("").with_suffix(".spec.json")
         sidecar.write_text(spec.canonical_json() + "\n", encoding="utf-8")
         self.stats.stores += 1
+        remember_line(record, line)
         return path
 
     # ------------------------------------------------------------------- GC

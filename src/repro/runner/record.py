@@ -68,6 +68,9 @@ _MEMBER = "{}:{}".format
 
 #: Instance attribute holding a record's exact-tier digest once computed.
 _DIGEST_ATTR = "_record_digest"
+#: Instance attribute holding the record's cache-entry line until a sweep
+#: hands it to the spool (see :func:`remember_line`).
+_LINE_ATTR = "_spool_line"
 
 #: Record fields the digest never covers: host timing and the
 #: observational telemetry section (see :func:`record_digest`).
@@ -290,6 +293,18 @@ def remember_digest(record: "RunRecord", digest: str) -> None:
     object.__setattr__(record, _DIGEST_ATTR, digest)
 
 
+def remember_line(record: "RunRecord", line: str) -> None:
+    """Leave on ``record`` the spool line its cache entry holds (written by
+    :meth:`ResultCache.put` or read by :meth:`ResultCache.get`), so a
+    spooled sweep appends that text instead of encoding the record again."""
+    object.__setattr__(record, _LINE_ATTR, line)
+
+
+def take_line(record: "RunRecord") -> Optional[str]:
+    """Remove and return the line :func:`remember_line` left, else ``None``."""
+    return record.__dict__.pop(_LINE_ATTR, None)
+
+
 @dataclass(frozen=True)
 class MeterRecord:
     """Detached wall-power meter readings of one run.
@@ -395,6 +410,7 @@ class RunRecord:
         """Pickle the fields only; the receiver re-derives the digest."""
         state = dict(self.__dict__)
         state.pop(_DIGEST_ATTR, None)
+        state.pop(_LINE_ATTR, None)
         return state
 
 

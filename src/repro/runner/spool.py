@@ -200,14 +200,18 @@ class ResultSpool:
         )
 
     # --------------------------------------------------------------- writing
-    def append(self, record: RunRecord) -> str:
+    def append(self, record: RunRecord, line: Optional[str] = None) -> str:
         """Write one record and flush it to the OS before returning.
 
-        Returns the record digest written into the line, so callers fold
-        the record into a :class:`SweepAggregate` without digesting twice.
+        ``line`` is the record's :func:`encode_line` text when the caller
+        already holds it (the line it cached, or read from the cache); it
+        is written verbatim.  Returns the record digest written into the
+        line, so callers fold the record into a :class:`SweepAggregate`
+        without digesting twice.
         """
         digest = record_digest(record)
-        line = encode_line(record.spec_hash, record, digest)
+        if line is None:
+            line = encode_line(record.spec_hash, record, digest)
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self.path, "a", encoding="utf-8")

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..observability import EventType, Tracer
 from .cache import ResultCache
-from .record import RunRecord, build_record
+from .record import RunRecord, build_record, take_line
 from .shard import ShardManifest
 from .spec import ScenarioSpec
 from .spool import ResultSpool, SweepAggregate
@@ -274,7 +274,7 @@ class SweepRunner:
         specs: List[ScenarioSpec],
         report: SweepReport,
         started: float,
-        sink: Callable[[int, RunRecord], None],
+        sink: Callable[[int, RunRecord, Optional[str]], None],
         **summary: int,
     ) -> None:
         """Resolve every spec not yet in ``report.sources``, in order.
@@ -282,12 +282,15 @@ class SweepRunner:
         The one resolution loop behind :meth:`run` and
         :meth:`run_spooled`: cache, then pool, then serial fallback.  Each
         record lands the moment it resolves — into the cache (unless it
-        came from there), then ``sink(index, record)``, then the progress
-        line — so an interrupt or a :class:`SweepError` loses nothing
-        already resolved.  Caching before the sink matters for spooled
-        sweeps: if the spool append is the crash point (the resilience
-        rig's kill hook lives there), the result is already durable in
-        the cache for the resumed run.
+        came from there), then ``sink(index, record, line)``, then the
+        progress line — so an interrupt or a :class:`SweepError` loses
+        nothing already resolved.  ``line`` is the cache entry's text, which
+        :meth:`ResultCache.put` or :meth:`ResultCache.get` left on the
+        record (``None`` without a cache); it is taken off the record here.
+        Caching before the sink matters for spooled sweeps: if the spool
+        append is the crash point (the resilience rig's kill hook lives
+        there), the result is already durable in the cache for the resumed
+        run.
 
         SIGTERM is mapped onto ``KeyboardInterrupt`` for the duration
         (main thread only) so both signals take the same path: pool
@@ -305,7 +308,7 @@ class SweepRunner:
         ) -> None:
             if self.cache is not None and source != "cache":
                 self.cache.put(spec, record)
-            sink(index, record)
+            sink(index, record, take_line(record))
             self._emit(started, index, total, spec, source, seconds, report)
 
         previous_sigterm = None
@@ -372,7 +375,7 @@ class SweepRunner:
         started = time.perf_counter()
         results: List[Optional[RunRecord]] = [None] * len(specs)
 
-        def store(index: int, record: RunRecord) -> None:
+        def store(index: int, record: RunRecord, line: Optional[str]) -> None:
             results[index] = record
 
         self._resolve(specs, SweepReport(total=len(specs)), started, store)
@@ -458,8 +461,8 @@ class SweepRunner:
                 remaining=total - len(report.sources),
             )
 
-        def append(index: int, record: RunRecord) -> None:
-            aggregate.add(record, spool.append(record))
+        def append(index: int, record: RunRecord, line: Optional[str]) -> None:
+            aggregate.add(record, spool.append(record, line))
 
         try:
             self._resolve(specs, report, started, append, resumed=report.resumed)

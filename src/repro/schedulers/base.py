@@ -29,23 +29,27 @@ class Scheduler(abc.ABC):
     #: Human-readable policy name (used in reports and figures).
     name = "base"
 
+    #: The bound JobTracker.  A plain instance attribute once bound (the
+    #: hot paths read it several times per heartbeat); before ``bind`` the
+    #: lookup falls through to ``__getattr__``, which raises.
+    jt: "JobTracker"
+
     def __init__(self) -> None:
         self.jobtracker: Optional["JobTracker"] = None
         #: Trace sink, inherited from the JobTracker at bind time.  All
         #: emission helpers are no-ops while ``tracer.enabled`` is False.
         self.tracer = NULL_TRACER
 
+    def __getattr__(self, name: str) -> Any:
+        if name == "jt":
+            raise RuntimeError(f"{type(self).__name__} is not bound to a JobTracker")
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
     # ------------------------------------------------------------- lifecycle
     def bind(self, jobtracker: "JobTracker") -> None:
         """Attach to the JobTracker (called once, by the JobTracker)."""
-        self.jobtracker = jobtracker
+        self.jobtracker = self.jt = jobtracker
         self.tracer = jobtracker.tracer
-
-    @property
-    def jt(self) -> "JobTracker":
-        if self.jobtracker is None:
-            raise RuntimeError(f"{type(self).__name__} is not bound to a JobTracker")
-        return self.jobtracker
 
     # ----------------------------------------------------------------- hooks
     def on_job_added(self, job: Job) -> None:
@@ -97,11 +101,8 @@ class Scheduler(abc.ABC):
 
     def has_assignable_work(self) -> bool:
         """Whether any active job has a pending map or a schedulable reduce."""
-        slowstart = self.jt.config.reduce_slowstart
-        return any(
-            job.pending_map_count or job.reduces_schedulable(slowstart)
-            for job in self.jt.active_jobs
-        )
+        work = self.jt.pending_work
+        return bool(work.maps or work.reduces)
 
     # ----------------------------------------------------------- observability
     def trace_scheduler_event(self, **data: Any) -> None:
@@ -131,11 +132,13 @@ class Scheduler(abc.ABC):
 
     # ----------------------------------------------------------- shared bits
     def jobs_with_pending_maps(self) -> List[Job]:
-        return [job for job in self.jt.active_jobs if job.pending_map_count > 0]
+        """Active jobs with a pending map, in admission order (a copy)."""
+        return self.jt.pending_work.maps[:]
 
     def jobs_with_schedulable_reduces(self) -> List[Job]:
-        slowstart = self.jt.config.reduce_slowstart
-        return [job for job in self.jt.active_jobs if job.reduces_schedulable(slowstart)]
+        """Active jobs whose reduces are schedulable, in admission order
+        (a copy)."""
+        return self.jt.pending_work.reduces[:]
 
     def total_cluster_slots(self) -> int:
         """``S_pool`` of Eq. 7 — all slots in the cluster."""

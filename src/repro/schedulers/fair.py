@@ -59,7 +59,7 @@ class FairScheduler(Scheduler):
             local = True
             # First pass: node-local task from the most-starved job offering one.
             for job in candidates:
-                if job.local_pending_map(machine_id) is not None:
+                if job.has_local_map(machine_id):
                     task = job.take_map(machine_id, prefer_local=True)
                     break
             # Second pass: any pending map, most-starved first.

@@ -105,7 +105,7 @@ class TarazuScheduler(FairScheduler):
             for job in candidates:
                 if not self._within_quota(job, machine_id):
                     continue
-                if job.local_pending_map(machine_id) is not None:
+                if job.has_local_map(machine_id):
                     task = job.take_map(machine_id, prefer_local=True)
                     self._note_map_launch(job, machine_id)
                     break

@@ -1,12 +1,15 @@
 """The daemon-in-a-subprocess load run behind ``repro serve --loadgen``.
 
-The daemon runs in a **separate process** (spawned, not forked, so the
-child has a clean interpreter) bound to a UNIX-domain socket, and the
-load generator runs in the parent — otherwise client and server would
-share one GIL and the measurement would cap well below what the daemon
-can actually sustain.  The parent measures the offered/achieved heartbeat
-rate and client-side round-trip quantiles; the child's own
-decision-latency histogram comes back in the final stats message.
+The daemon runs in a **separate process** — ``python -m repro serve
+--socket PATH`` on a private UNIX-domain socket — and the load generator
+runs in the parent; otherwise client and server would share one GIL and
+the measurement would cap well below what the daemon can actually
+sustain.  The child is a fresh interpreter started from the command line,
+so the caller's ``__main__`` is never re-run: a script without an
+``if __name__ == "__main__"`` guard, or code piped to ``python -``, can
+drive it.  The parent measures the offered/achieved heartbeat rate and
+client-side round-trip quantiles; the child's own decision-latency
+histogram comes back in the final stats message.
 
 ``repro serve --loadgen RATE`` prints the summary JSON;
 ``benchmarks/check_regression.py`` gates it against ``BENCH_serve.json``.
@@ -15,12 +18,15 @@ decision-latency histogram comes back in the final stats message.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import os
+import site
 import socket
+import subprocess
+import sys
 import tempfile
 import time
-from typing import Any, Dict, Optional
+from pathlib import Path
+from typing import IO, Any, Dict, List, Optional
 
 from ..workloads import TraceSpec
 from .loadgen import LoadGenerator, fleet_tracker_infos
@@ -29,27 +35,57 @@ from .protocol import MAX_LINE_BYTES, decode, encode
 __all__ = ["run_serve_benchmark"]
 
 
-def _daemon_main(path: str, scheduler: str, seed: int, nodes: Optional[int], time_scale: float) -> None:
-    """Child-process entry: serve on a UNIX socket until told to shut down."""
-    # Imports inside so the spawn start method ships only picklable args.
-    from .daemon import ServeDaemon
-    from .engine import ServeEngine
+def _daemon_command(
+    path: str, scheduler: str, seed: int, nodes: Optional[int], time_scale: float
+) -> List[str]:
+    """The ``repro serve`` command line of the benchmark's daemon."""
+    command = [
+        sys.executable, "-m", "repro", "serve", "--socket", path,
+        "--scheduler", scheduler, "--seed", str(seed),
+        "--time-scale", repr(float(time_scale)),
+    ]
+    if nodes is not None:
+        command += ["--nodes", str(nodes)]
+    return command
 
-    engine = ServeEngine(
-        scheduler=scheduler, seed=seed, nodes=nodes, trust_wire_now=False
-    )
-    daemon = ServeDaemon(engine, path=path, time_scale=time_scale)
-    asyncio.run(daemon.run())
+
+def _daemon_env() -> Dict[str, str]:
+    """The caller's environment, with this ``repro``'s root first on the
+    path unless it is a site directory.
+
+    The caller may have imported ``repro`` through ``sys.path`` (a
+    benchmark script inserting ``src/``), which a child interpreter would
+    not inherit.  An installed package needs nothing: its site directory
+    is already on the child's path, and putting it on ``PYTHONPATH``
+    would rank it above the standard library.
+    """
+    root = Path(__file__).resolve().parents[2]
+    site_dirs = {Path(d).resolve() for d in site.getsitepackages()}
+    site_dirs.add(Path(site.getusersitepackages()).resolve())
+    env = dict(os.environ)
+    if root not in site_dirs:
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+    return env
 
 
-def _wait_for_socket(path: str, process: multiprocessing.Process, timeout: float = 30.0) -> None:
+def _startup_error(process: subprocess.Popen, log: IO[bytes]) -> str:
+    """Why the daemon died before it served: exit code and stderr tail."""
+    log.seek(0)
+    tail = log.read().decode("utf-8", "replace").strip().splitlines()[-5:]
+    detail = ("; stderr: " + " | ".join(tail)) if tail else ""
+    return f"serve daemon exited during startup (exit code {process.returncode}){detail}"
+
+
+def _wait_for_socket(
+    path: str, process: subprocess.Popen, log: IO[bytes], timeout: float = 30.0
+) -> None:
     """Block until the child's socket accepts, or fail fast if it died."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if not process.is_alive():
-            raise RuntimeError(
-                f"serve daemon exited during startup (exit code {process.exitcode})"
-            )
+        if process.poll() is not None:
+            raise RuntimeError(_startup_error(process, log))
         if os.path.exists(path):
             probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             try:
@@ -102,17 +138,18 @@ def run_serve_benchmark(
     generator's fixed submit schedule with the trace's arrivals (see
     :class:`~repro.serve.loadgen.LoadGenerator`).
     """
-    ctx = multiprocessing.get_context("spawn")
-    with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp, \
+            tempfile.TemporaryFile(dir=tmp) as log:
         path = os.path.join(tmp, "serve.sock")
-        process = ctx.Process(
-            target=_daemon_main,
-            args=(path, scheduler, seed, nodes, time_scale),
-            daemon=True,
+        process = subprocess.Popen(
+            _daemon_command(path, scheduler, seed, nodes, time_scale),
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL,
+            stderr=log,
+            env=_daemon_env(),
         )
-        process.start()
         try:
-            _wait_for_socket(path, process)
+            _wait_for_socket(path, process, log)
             generator = LoadGenerator(
                 rate=rate,
                 duration=duration,
@@ -133,10 +170,15 @@ def run_serve_benchmark(
 
             stats, final = asyncio.run(_run())
         finally:
-            process.join(timeout=10.0)
-            if process.is_alive():
+            try:
+                process.wait(timeout=10.0)
+            except subprocess.TimeoutExpired:
                 process.terminate()
-                process.join(timeout=5.0)
+                try:
+                    process.wait(timeout=5.0)
+                except subprocess.TimeoutExpired:
+                    process.kill()
+                    process.wait()
 
     summary = stats.summary()
     server = stats.server_stats or final or {}
@@ -150,7 +192,7 @@ def run_serve_benchmark(
             "connections": connections,
             "service_time": service_time,
             "time_scale": time_scale,
-            "transport": "unix socket, daemon in a spawned subprocess",
+            "transport": "unix socket, daemon in a `repro serve` subprocess",
         },
         "offered_heartbeats_per_sec": rate,
         "achieved_heartbeats_per_sec": summary["achieved_heartbeats_per_sec"],

@@ -347,3 +347,79 @@ class TestOlderRecordShape:
                      "--spool", str(path)]) == 0
         assert "1 resumed, 0 cached, 0 executed" in capsys.readouterr().out
         assert path.read_bytes() == self.FIXTURE.read_bytes()
+
+
+# ------------------------------------------------- one encode per record
+class TestEncodeOnce:
+    """A cold spec's spool line is encoded once, for the cache entry and
+    the spool; a warm spec appends its cache entry's line verbatim."""
+
+    @staticmethod
+    def _grid():
+        return [
+            ScenarioSpec(jobs=(puma_job("grep", 0.25),), scheduler=name, seed=seed)
+            for name in ("fifo", "fair")
+            for seed in (0, 1)
+        ]
+
+    @staticmethod
+    def _count_encodes(monkeypatch) -> list:
+        from repro.runner import cache as cache_module
+        from repro.runner import spool as spool_module
+
+        calls: list = []
+
+        def counting(spec_hash, record, digest=None):
+            calls.append(spec_hash)
+            return encode_line(spec_hash, record, digest)
+
+        for module in (cache_module, spool_module):
+            monkeypatch.setattr(module, "encode_line", counting)
+        return calls
+
+    def test_cold_and_warm_spools_and_cache_entries_are_byte_identical(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.runner import ResultCache, SweepRunner
+
+        specs = self._grid()
+        calls = self._count_encodes(monkeypatch)
+        cache = ResultCache(tmp_path / "cache", salt="encode-once")
+        runner = SweepRunner(workers=1, cache=cache)
+        cold = tmp_path / "cold.jsonl"
+        runner.run_spooled(specs, ResultSpool(cold))
+        assert sorted(calls) == sorted(spec.spec_hash() for spec in specs)
+
+        calls.clear()
+        warm = tmp_path / "warm.jsonl"
+        runner.run_spooled(specs, ResultSpool(warm))
+        assert calls == []
+        assert runner.last_report.cache_hits == len(specs)
+        assert warm.read_bytes() == cold.read_bytes()
+
+        lines = cold.read_text().splitlines()
+        for spec, line in zip(specs, lines):
+            assert cache.path_for(spec).read_text() == line + "\n"
+            # The line the sweep wrote is the one a fresh encode gives.
+            spec_hash, digest, record = decode_line(line)
+            assert encode_line(spec_hash, record, digest) == line
+
+    def test_plain_run_encodes_once_per_cold_spec(self, tmp_path, monkeypatch):
+        from repro.runner import ResultCache, SweepRunner
+
+        specs = self._grid()[:2]
+        calls = self._count_encodes(monkeypatch)
+        runner = SweepRunner(workers=1, cache=ResultCache(tmp_path, salt="plain"))
+        runner.run(specs)
+        assert len(calls) == len(specs)
+        calls.clear()
+        runner.run(specs)
+        assert calls == []
+
+    def test_uncached_spool_encodes_each_record_once(self, tmp_path, monkeypatch):
+        from repro.runner import SweepRunner
+
+        specs = self._grid()[:2]
+        calls = self._count_encodes(monkeypatch)
+        SweepRunner(workers=1).run_spooled(specs, ResultSpool(tmp_path / "s.jsonl"))
+        assert len(calls) == len(specs)
