@@ -38,12 +38,6 @@ class HadoopConfig:
         transfer itself (seek/stream overhead of remote reads).
     io_phase_cores:
         CPU demand (cores) of a task while in an IO-bound phase.
-    speculative_execution:
-        Enables LATE-style speculative attempts (extension; off in the
-        paper's E-Ant runs).
-    speculative_slowness_threshold:
-        A running attempt is speculatable once its progress rate falls
-        below this fraction of the job's mean attempt rate.
     tracker_expiry:
         Seconds without a heartbeat after which the JobTracker declares a
         TaskTracker dead and requeues its running tasks (Hadoop's
@@ -59,8 +53,6 @@ class HadoopConfig:
     remote_read_penalty: float = 1.3
     io_phase_cores: float = 0.10
     tracker_expiry: float = 30.0
-    speculative_execution: bool = False
-    speculative_slowness_threshold: float = 0.5
 
     def __post_init__(self) -> None:
         # NaN slips past every range check below (all its comparisons are

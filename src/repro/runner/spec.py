@@ -76,6 +76,11 @@ def canonical_json(data: Any) -> str:
     return json.dumps(_jsonable(data), sort_keys=True, separators=(",", ":"))
 
 
+def _speculation_keys(scheduler: str) -> Dict[str, Any]:
+    """The retired speculation settings a ``scheduler`` run always has."""
+    return {"speculative_execution": scheduler == "late", "speculative_slowness_threshold": 0.5}
+
+
 # --------------------------------------------------------------- from-JSON
 def _profile_from_dict(data: Dict[str, Any]) -> WorkloadProfile:
     return WorkloadProfile(**data)
@@ -213,7 +218,7 @@ class ScenarioSpec:
             "jobs": _jsonable(self.jobs),
             "scheduler": self.scheduler,
             "fleet": _jsonable(self.fleet),
-            "hadoop": _jsonable(self.hadoop),
+            "hadoop": {**_jsonable(self.hadoop), **_speculation_keys(self.scheduler)},
             "noise": _jsonable(self.noise),
             "seed": self.seed,
             "eant_config": _jsonable(self.eant_config),
@@ -221,6 +226,8 @@ class ScenarioSpec:
             "meter_interval": self.meter_interval,
             "max_sim_time": self.max_sim_time,
         }
+        # The speculation keys were HadoopConfig fields until LATE always
+        # speculated; writing the values every run had keeps their hashes.
         # Written only when present: a fault-free spec keeps the canonical
         # JSON (hence hash) it had before fault plans existed.
         if self.faults is not None:
@@ -276,13 +283,17 @@ class ScenarioSpec:
         version = data.get("spec_version", SPEC_VERSION)
         if version != SPEC_VERSION:
             raise ValueError(f"unsupported spec_version {version} (expected {SPEC_VERSION})")
+        hadoop = dict(data["hadoop"])
+        for key, value in _speculation_keys(str(data["scheduler"]).strip().lower()).items():
+            if hadoop.pop(key, value) != value:
+                raise ValueError(f"hadoop.{key} must be {value!r} for {data['scheduler']!r}")
         return cls(
             jobs=tuple(_job_from_dict(job) for job in data["jobs"]),
             scheduler=data["scheduler"],
             fleet=tuple(
                 (_machine_from_dict(machine), count) for machine, count in data["fleet"]
             ),
-            hadoop=HadoopConfig(**data["hadoop"]),
+            hadoop=HadoopConfig(**hadoop),
             noise=NoiseModel(**data["noise"]),
             seed=data["seed"],
             eant_config=(

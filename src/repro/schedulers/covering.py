@@ -14,7 +14,7 @@ comparison benchmark.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional, Tuple
 
 from ..energy.powermgmt import PowerManager, SleepPolicy, pick_covering_subset
 from ..hadoop.job import Task, TaskReport
@@ -32,28 +32,19 @@ class CoveringSubsetScheduler(FairScheduler):
     # Every heartbeat ticks the power manager, work or not.
     may_assign = Scheduler.may_assign
 
-    def __init__(
-        self,
-        subset_fraction: float = 0.3,
-        policy: Optional[SleepPolicy] = None,
-        covering_subset: Optional[Set[int]] = None,
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.subset_fraction = subset_fraction
-        self.policy = policy or SleepPolicy()
-        self._explicit_subset = covering_subset
         self.power: Optional[PowerManager] = None
+        #: ``(time, machine_id, resume_delay_s)`` of each wake-up.
+        self.wake_events: List[Tuple[float, int, float]] = []
 
     # ------------------------------------------------------------- lifecycle
     def bind(self, jobtracker) -> None:
         super().bind(jobtracker)
-        subset = (
-            set(self._explicit_subset)
-            if self._explicit_subset is not None
-            else pick_covering_subset(jobtracker.cluster, self.subset_fraction)
-        )
         self.power = PowerManager(
-            cluster=jobtracker.cluster, policy=self.policy, covering_subset=subset
+            cluster=jobtracker.cluster,
+            policy=SleepPolicy(),
+            covering_subset=pick_covering_subset(jobtracker.cluster),
         )
 
     def on_task_completed(self, report: TaskReport) -> None:
@@ -111,12 +102,6 @@ class CoveringSubsetScheduler(FairScheduler):
         return assignments
 
     # ---------------------------------------------------------------- stats
-    @property
-    def wake_events(self) -> List:
-        if not hasattr(self, "_wake_events"):
-            self._wake_events = []
-        return self._wake_events
-
     def energy_summary(self, now: float) -> dict:
         """Saved idle joules and sleep statistics (benchmark surface)."""
         assert self.power is not None

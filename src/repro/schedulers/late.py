@@ -9,8 +9,6 @@ machines.  This implementation layers speculation on top of fair sharing:
   estimated time-to-finish, provided the heartbeating machine is in the
   faster half of the cluster;
 * whichever attempt finishes first wins; the loser is killed.
-
-Speculation requires ``HadoopConfig.speculative_execution = True``.
 """
 
 from __future__ import annotations
@@ -24,6 +22,11 @@ from .fair import FairScheduler
 
 __all__ = ["LateScheduler"]
 
+#: Share of a job's maps (at least one) that may get a speculative copy.
+MAX_SPECULATIVE_FRACTION = 0.1
+#: A map is a straggler once it has run over 1 / this times its job's mean map time.
+SLOWNESS_THRESHOLD = 0.5
+
 
 class LateScheduler(FairScheduler):
     """Fair sharing plus LATE speculative re-execution of stragglers."""
@@ -32,11 +35,8 @@ class LateScheduler(FairScheduler):
     # Speculation can fill an idle slot with no pending work anywhere.
     may_assign = Scheduler.may_assign
 
-    def __init__(self, max_speculative_fraction: float = 0.1) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if not 0.0 <= max_speculative_fraction <= 1.0:
-            raise ValueError("max speculative fraction must be in [0, 1]")
-        self.max_speculative_fraction = max_speculative_fraction
         self._speculated: Set[str] = set()
         self._mean_map_duration: dict = {}
         self._map_duration_counts: dict = {}
@@ -78,8 +78,6 @@ class LateScheduler(FairScheduler):
     # ------------------------------------------------------------ assignment
     def select_tasks(self, status: TrackerStatus) -> List[Task]:
         assignments = super().select_tasks(status)
-        if not self.jt.config.speculative_execution:
-            return assignments
         maps_assigned = sum(1 for t in assignments if t.is_map)
         spare = status.free_map_slots - maps_assigned
         if spare <= 0:
@@ -112,15 +110,14 @@ class LateScheduler(FairScheduler):
 
     def _pick_straggler(self, machine_id: int) -> Optional[Task]:
         """The running map with the worst estimated time-to-finish."""
-        threshold = self.jt.config.speculative_slowness_threshold
         now = self.jt.sim.now
         worst: Optional[Task] = None
-        worst_overrun = 1.0 / max(threshold, 1e-9)
+        worst_overrun = 1.0 / SLOWNESS_THRESHOLD
         for job in self.jt.active_jobs:
             mean = self._mean_map_duration.get(job.job_id)
             if not mean:
                 continue
-            budget = len(job.maps) * self.max_speculative_fraction
+            budget = len(job.maps) * MAX_SPECULATIVE_FRACTION
             already = sum(1 for t in self._speculated if t.startswith(f"j{job.job_id}-m"))
             if already >= max(1.0, budget):
                 continue

@@ -27,17 +27,17 @@ from .fair import FairScheduler
 
 __all__ = ["TarazuScheduler"]
 
+#: Extra map quota per map a job has launched (see ``_within_quota``).
+QUOTA_SLACK = 0.02
+
 
 class TarazuScheduler(FairScheduler):
     """Capability-proportional load balancing over fair sharing."""
 
     name = "tarazu"
 
-    def __init__(self, quota_slack: float = 0.02) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if quota_slack < 0:
-            raise ValueError("quota slack must be non-negative")
-        self.quota_slack = quota_slack
         #: maps launched per (job_id, machine_id), for quota accounting.
         self._maps_launched: Dict[int, Dict[int, int]] = {}
         self._compute_weights: Dict[int, float] = {}
@@ -72,7 +72,7 @@ class TarazuScheduler(FairScheduler):
         if total_launched == 0:
             return True
         weight = self._compute_weights[machine_id]
-        quota = weight * (total_launched + 1) + self.quota_slack * total_launched + 1
+        quota = weight * (total_launched + 1) + QUOTA_SLACK * total_launched + 1
         return launched.get(machine_id, 0) < quota
 
     def _note_map_launch(self, job: Job, machine_id: int) -> None:

@@ -33,7 +33,7 @@ from ..core.service import (
     report_fields_from_wire,
     wire_float,
 )
-from ..hadoop import BlockPlacer, HadoopConfig, Job, JobTracker
+from ..hadoop import BlockPlacer, HadoopConfig, Job, JobTracker, TaskAttempt, TaskState
 from ..observability.metrics import Histogram
 from ..observability.telemetry import LATENCY_BUCKETS
 from ..runner.engine import make_scheduler
@@ -130,6 +130,9 @@ class ServeEngine:
         self.core = self.jobtracker.core
         self.trust_wire_now = trust_wire_now
         self._machine_ids = {machine.machine_id for machine in self.cluster}
+        #: Attempts handed out and not yet reported, by id.  A speculated task
+        #: has two, and the wire has no kill message: both report.
+        self._open_attempts: Dict[str, TaskAttempt] = {}
         #: wall-clock latency of each assignment decision (``core.heartbeat``),
         #: in the same log-spaced buckets the DES telemetry sink uses.
         self.decision_latency = Histogram(buckets=LATENCY_BUCKETS)
@@ -222,8 +225,10 @@ class ServeEngine:
         # Mirror TaskTracker.launch's bookkeeping: the assignment opens an
         # attempt; the remote tracker's eventual report closes it.
         directives = response.directives
+        open_attempts = self._open_attempts
         for directive in directives:
-            core.resolve(directive.task_id).new_attempt(machine_id, now)
+            attempt = core.resolve(directive.task_id).new_attempt(machine_id, now)
+            open_attempts[attempt.attempt_id] = attempt
         # One reply dict: the response's wire form with the message type first.
         return {
             "type": "assignment",
@@ -234,15 +239,15 @@ class ServeEngine:
 
     def _handle_report(self, message: Dict[str, Any], now: float) -> Dict[str, Any]:
         fields = report_fields_from_wire(message)
-        try:
-            task = self.core.resolve(fields["task_id"])
-        except KeyError as exc:
-            raise WireError(str(exc)) from None
-        attempt = task.attempts[-1] if task.attempts else None
-        if attempt is None or attempt.attempt_id != fields["attempt_id"]:
+        attempt = self._open_attempts.get(fields["attempt_id"])
+        if attempt is None or attempt.task.task_id != fields["task_id"]:
+            try:
+                self.core.resolve(fields["task_id"])
+            except KeyError as exc:
+                raise WireError(str(exc)) from None
             raise WireError(
-                f"report for {fields['attempt_id']!r} does not match the "
-                f"latest attempt of {fields['task_id']!r}"
+                f"report for {fields['attempt_id']!r} does not match an "
+                f"open attempt of {fields['task_id']!r}"
             )
         if fields["machine_id"] != attempt.machine_id:
             raise WireError(
@@ -250,7 +255,10 @@ class ServeEngine:
                 f"{fields['machine_id']}; the attempt runs on machine "
                 f"{attempt.machine_id}"
             )
+        del self._open_attempts[fields["attempt_id"]]
         self._pump(now)
+        task = attempt.task
+        duplicate = task.state is TaskState.COMPLETED
         attempt.finish_time = fields["finish_time"]
         attempt.succeeded = True
         attempt.avg_utilization = fields["avg_utilization"]
@@ -258,14 +266,13 @@ class ServeEngine:
         attempt.local = fields["local"]
         attempt.phases = fields["phases"]
         # The DES path from here on: barrier bookkeeping, then the
-        # flattened report into the core.  A second report for the task
-        # cannot reach this point — the core dropped it from its live
-        # index, so ``resolve`` above refuses it.
+        # flattened report into the core.  The first attempt to report
+        # completes the task; task_finished ignores a later one.
         self.jobtracker.task_finished(None, attempt)
         # Drain the urgent dispatches complete_task may have scheduled
         # (maps-done / job-done barriers) before the next message.
         self._pump(now)
-        return {"type": "ok", "task_id": task.task_id, "duplicate": False}
+        return {"type": "ok", "task_id": task.task_id, "duplicate": duplicate}
 
     def _handle_submit(self, message: Dict[str, Any], now: float) -> Dict[str, Any]:
         self._pump(now)

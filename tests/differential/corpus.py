@@ -126,7 +126,6 @@ def build_corpus() -> List[Tuple[str, ScenarioSpec]]:
             ScenarioSpec(jobs=trio, scheduler="fair", seed=7, faults=_decommission_plan()),
         ),
         ("fifo-duo-seed8", ScenarioSpec(jobs=_jobs(wordcount, terasort), scheduler="fifo", seed=8)),
-        ("late-duo-seed9", ScenarioSpec(jobs=_jobs(wordcount, grep), scheduler="late", seed=9)),
         (
             "eant-churn-metered-seed11",
             ScenarioSpec(
@@ -211,20 +210,12 @@ def build_corpus() -> List[Tuple[str, ScenarioSpec]]:
     ]
     # Interrupt runs: every place a task attempt can be killed is reached
     # by at least one scenario (test_corpus_kills_attempts_at_every_interrupt_site
-    # in tests/test_golden_corpus.py counts them).  LATE with speculation kills losing map copies; the
-    # crash plan below, on a 0.05 reduce slowstart, kills reduces while
-    # they wait on the map barrier, in the shuffle transfer, in sort and in
-    # reduce (and maps in their io phase).
+    # in tests/test_golden_corpus.py counts them).  LATE kills losing map
+    # copies; the crash plan below, on a 0.05 reduce slowstart, kills
+    # reduces while they wait on the map barrier, in the shuffle transfer,
+    # in sort and in reduce (and maps in their io phase).
     corpus += [
-        (
-            "late-spec-seed21",
-            ScenarioSpec(
-                jobs=_jobs(wordcount, grep),
-                scheduler="late",
-                seed=21,
-                hadoop=HadoopConfig(speculative_execution=True),
-            ),
-        ),
+        ("late-spec-seed21", ScenarioSpec(jobs=_jobs(wordcount, grep), scheduler="late", seed=21)),
         (
             "fair-reducecrash-seed18",
             ScenarioSpec(

@@ -69,7 +69,7 @@ def test_parking_skips_heartbeats_with_identical_decisions(name, monkeypatch):
 
 def test_default_policy_never_parks(monkeypatch):
     """LATE keeps ``may_assign() == True``: every heartbeat reaches it."""
-    spec = CORPUS["late-duo-seed9"]
+    spec = CORPUS["late-spec-seed21"]
     _, parked = _run_tapped(spec, monkeypatch)
     with reference_mode():
         _, reference = _run_tapped(spec, monkeypatch)

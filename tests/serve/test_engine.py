@@ -142,6 +142,57 @@ class TestSession:
         assert stats["assignments"] == len(assigned)
         assert stats["trackers"] == 4
 
+    def test_speculated_task_takes_the_first_report_of_either_attempt(self):
+        # LATE copies a straggling map onto an idle fast machine; with no
+        # kill message on the wire, both attempts eventually report.
+        engine = make_engine(scheduler="late", seed=1)
+        specs = {m.machine_id: m.spec for m in engine.cluster}
+        for machine_id, spec in specs.items():
+            assert register(engine, machine_id, (spec.map_slots, spec.reduce_slots))["type"] == "ok"
+        assert engine.handle({
+            "type": "submit", "application": "grep", "input_mb": 256.0, "num_reduces": 0,
+        })["num_maps"] == 4
+        running = {}  # task id -> machines holding an attempt, in attempt order
+
+        def heartbeat_all(now):
+            for machine_id, spec in specs.items():
+                busy = sum(machine_id in held for held in running.values())
+                reply = engine.handle({
+                    "type": "heartbeat", "machine_id": machine_id, "now": now,
+                    "free_map_slots": spec.map_slots - busy,
+                    "free_reduce_slots": spec.reduce_slots,
+                    "running_maps": busy, "running_reduces": 0,
+                })
+                for directive in reply["directives"]:
+                    running.setdefault(directive["task_id"], []).append(machine_id)
+
+        def report(task_id, attempt_number, finish_time):
+            return engine.handle({
+                "type": "report", "task_id": task_id,
+                "attempt_id": f"attempt_{task_id}_{attempt_number}", "kind": "map",
+                "machine_id": running[task_id][attempt_number], "start_time": 1.0,
+                "finish_time": finish_time, "avg_utilization": 0.6, "local": True,
+                "samples": [[0.6, finish_time - 1.0]], "phases": {"cpu": finish_time - 1.0},
+                "now": finish_time,
+            })
+
+        heartbeat_all(1.0)
+        assert running == {f"j0-m-{i:04d}": [0] for i in range(4)}
+        assert report("j0-m-0003", 0, 5.0)["duplicate"] is False
+        heartbeat_all(100.0)  # j0-m-0000 now overruns the job's mean map time
+        assert running["j0-m-0000"] == [0, 1]
+
+        assert report("j0-m-0000", 0, 101.0) == {
+            "type": "ok", "task_id": "j0-m-0000", "duplicate": False,
+        }
+        assert report("j0-m-0000", 1, 102.0) == {
+            "type": "ok", "task_id": "j0-m-0000", "duplicate": True,
+        }
+        # Each attempt reports once; a repeat is still an error.
+        for attempt_number in (0, 1):
+            assert report("j0-m-0000", attempt_number, 103.0)["type"] == "error"
+        assert engine.stats()["reports"] == 2
+
     def test_tick_advances_control_interval(self):
         engine = make_engine()
         interval = engine.config.control_interval

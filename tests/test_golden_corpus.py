@@ -127,7 +127,7 @@ def test_corpus_kills_attempts_at_every_interrupt_site():
     assert set(sites) <= set(INTERRUPT_SITES), sites
     missing = [site for site in INTERRUPT_SITES if not sites[site]]
     assert not missing, f"no golden scenario kills an attempt at {missing}: {dict(sites)}"
-    # late-spec-seed21 runs LATE with speculation on and no fault plan:
+    # late-spec-seed21 runs LATE, which always speculates, with no fault plan:
     # the scheduler itself kills at least one losing copy.
     speculative = ScenarioSpec.from_json_dict(_load(GOLDEN_DIR / "late-spec-seed21.json")["spec"])
     assert speculative.faults is None and sum(KILLED_SITES["late-spec-seed21"].values()) >= 1

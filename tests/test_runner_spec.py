@@ -25,6 +25,9 @@ from repro.runner.spec import _jsonable
 from repro.workloads import puma_job
 
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
 def small_spec(**overrides) -> ScenarioSpec:
     fields = dict(
         jobs=(puma_job("grep", 1.0), puma_job("wordcount", 1.0, submit_time=30.0)),
@@ -121,6 +124,28 @@ class TestRoundTrips:
         restored = ScenarioSpec.from_json(spec.canonical_json())
         assert restored == spec
         assert restored.spec_hash() == spec.spec_hash()
+
+    def test_golden_fair_spec_round_trips_to_its_hash(self):
+        data = json.loads((GOLDEN_DIR / "fair-duo-seed0.json").read_text())
+        spec = ScenarioSpec.from_json_dict(data["spec"])
+        assert spec.to_json_dict() == data["spec"]
+        assert spec.spec_hash() == data["spec_hash"]
+
+    @pytest.mark.parametrize(
+        "scheduler, key, value",
+        [
+            # The retired late-duo-seed9 golden: LATE with speculation off.
+            ("late", "speculative_execution", False),
+            ("fair", "speculative_execution", True),
+            ("late", "speculative_slowness_threshold", 0.25),
+        ],
+    )
+    def test_retired_speculation_settings_are_refused(self, scheduler, key, value):
+        spec = json.loads((GOLDEN_DIR / "fair-duo-seed0.json").read_text())["spec"]
+        data = {**spec, "scheduler": scheduler, "seed": 9}
+        data["hadoop"] = {**spec["hadoop"], "speculative_execution": scheduler == "late", key: value}
+        with pytest.raises(ValueError, match=f"hadoop.{key} must be"):
+            ScenarioSpec.from_json_dict(data)
 
     def test_json_carries_spec_version(self):
         assert small_spec().to_json_dict()["spec_version"] == SPEC_VERSION

@@ -1,7 +1,5 @@
 """Baseline scheduler tests: FIFO ordering, Fair sharing, Tarazu balance."""
 
-import pytest
-
 from repro.cluster import ATOM, DESKTOP, T420
 from repro.hadoop import HadoopConfig, TaskKind
 from repro.schedulers import FairScheduler, FifoScheduler, TarazuScheduler
@@ -60,10 +58,6 @@ class TestTarazu:
         # Desktops (8 cores @ 1.0) must take far more maps than Atoms
         # (4 cores @ 0.25) despite equal slot counts.
         assert per_model["Desktop"] > 3 * per_model.get("Atom", 0)
-
-    def test_quota_slack_validation(self):
-        with pytest.raises(ValueError):
-            TarazuScheduler(quota_slack=-0.1)
 
 
 class TestReduceGate:
